@@ -26,7 +26,7 @@ use crisp_isa::FoldPolicy;
 
 use crate::batch::{LaneEnd, MachineBatch, MachinePool};
 use crate::config::HwPredictor;
-use crate::observe::{render_timeline_for, EventRing, PipeEvent, PipeObserver};
+use crate::observe::{render_timeline_for, EventRing, Interest, PipeEvent, PipeObserver};
 use crate::predecode::PredecodedImage;
 use crate::{CycleSim, FunctionalSim, HaltReason, Machine, SimConfig, SimError};
 use crisp_asm::Image;
@@ -127,6 +127,8 @@ pub struct CommitLog {
 }
 
 impl PipeObserver for CommitLog {
+    const INTEREST: Interest = Interest::Commits;
+
     #[inline]
     fn event(&mut self, ev: PipeEvent) {
         if let Some((cycle, rec)) = CommitRecord::from_event(&ev) {
@@ -606,6 +608,8 @@ impl PrefixCheck {
 }
 
 impl PipeObserver for PrefixCheck {
+    const INTEREST: Interest = Interest::Commits;
+
     #[inline]
     fn event(&mut self, ev: PipeEvent) {
         let Some((_, rec)) = CommitRecord::from_event(&ev) else {
@@ -810,7 +814,6 @@ pub fn run_lockstep_batched(
 mod tests {
     use super::*;
     use crate::config::FaultInjection;
-    use crate::observe::NullObserver;
     use crisp_asm::assemble_text;
 
     fn image(src: &str) -> Image {
@@ -985,7 +988,7 @@ mod tests {
         let mut log = CommitLog::default();
         log.event(PipeEvent::FetchMiss { cycle: 1, pc: 0 });
         assert!(log.records.is_empty());
-        // And NullObserver remains zero-cost for lockstep-free runs.
-        const { assert!(!NullObserver::ENABLED) };
+        // Commit-only interest: lanes under it never build other events.
+        assert_eq!(CommitLog::INTEREST, Interest::Commits);
     }
 }

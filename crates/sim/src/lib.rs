@@ -82,8 +82,8 @@ pub use machine::{Machine, Step};
 pub use mem::Memory;
 pub use observe::{
     mispredict_cycles, parse_jsonl, render_timeline, render_timeline_for, write_chrome_trace,
-    write_chrome_trace_for, write_jsonl, write_trace_footer, DegradeUnit, EventRing, NullObserver,
-    PipeEvent, PipeObserver, StallKind, TraceFooter, TraceParseError,
+    write_chrome_trace_for, write_jsonl, write_trace_footer, DegradeUnit, EventRing, Interest,
+    NullObserver, PipeEvent, PipeObserver, StallKind, TraceFooter, TraceParseError,
 };
 pub use pdu::Pdu;
 pub use pipeline::{CycleRun, CycleSim, PipelineSnapshot, StageView};

@@ -1,7 +1,7 @@
 use crisp_asm::Image;
 use crisp_isa::{BinOp, Decoded, ExecOp, FoldClass, NextPc, Operand, Psw};
 
-use crate::observe::{PipeEvent, PipeObserver};
+use crate::observe::{Interest, PipeEvent, PipeObserver};
 use crate::{Memory, SimError};
 
 /// Default memory size: 256 KiB covers the default memory map (code at
@@ -105,9 +105,12 @@ impl Machine {
 
     /// Reinitialise this machine in place to the state a fresh
     /// [`Machine::load`] of `image` would produce, reusing the memory
-    /// allocation. Campaign workers run millions of short cases; zeroing
-    /// and rewriting an existing buffer avoids a fresh multi-hundred-KiB
-    /// allocation (and its page faults) per case.
+    /// allocation. Campaign workers run millions of short cases;
+    /// clearing and rewriting an existing buffer avoids a fresh
+    /// multi-hundred-KiB allocation (and its page faults) per case, and
+    /// [`Memory::zero`] clears only the pages the previous run wrote
+    /// (see the dirty-page notes on [`Memory`]), so a reset costs what
+    /// the last run touched, not the memory size.
     ///
     /// The result is bit-identical to a fresh load — including the
     /// memory *size*, which is `max(DEFAULT_MEMORY_BYTES,
@@ -303,8 +306,10 @@ impl Machine {
     /// [`PipeEvent::Issue`] and [`PipeEvent::Commit`] for the entry
     /// (and [`PipeEvent::Halt`] / [`PipeEvent::BranchRetire`] as
     /// applicable) at `cycle`. Both engines retire through this method
-    /// so observers see an identical commit stream; with
-    /// [`crate::NullObserver`] it compiles to exactly `execute`.
+    /// so observers see an identical commit stream. `Commit` is built
+    /// for [`Interest::Commits`] and above, the other three only for
+    /// [`Interest::All`]; with [`crate::NullObserver`] it compiles to
+    /// exactly `execute`.
     ///
     /// # Errors
     ///
@@ -316,12 +321,14 @@ impl Machine {
         obs: &mut O,
     ) -> Result<Step, SimError> {
         let step = self.execute(d)?;
-        if O::ENABLED {
+        if O::INTEREST == Interest::All {
             obs.event(PipeEvent::Issue {
                 cycle,
                 pc: d.pc,
                 folded: d.folded,
             });
+        }
+        if O::INTEREST >= Interest::Commits {
             obs.event(PipeEvent::Commit {
                 cycle,
                 pc: d.pc,
@@ -335,6 +342,8 @@ impl Machine {
                 mem_write: step.mem_write,
                 halted: step.halted,
             });
+        }
+        if O::INTEREST == Interest::All {
             if step.halted {
                 obs.event(PipeEvent::Halt { cycle });
             }
@@ -508,6 +517,63 @@ mod tests {
         assert_eq!(m, Machine::load(&img_b).unwrap());
         m.reset_from(&img_a).unwrap();
         assert_eq!(m, Machine::load(&img_a).unwrap());
+    }
+
+    /// Every byte of `a` and `b` agrees, by a full scan through the
+    /// read path rather than the dirty-page `==`.
+    fn assert_same_bytes(a: &Machine, b: &Machine) {
+        assert_eq!(a.mem.size(), b.mem.size());
+        for addr in (0..a.mem.size()).step_by(2) {
+            assert_eq!(
+                a.mem.read_parcel(addr).unwrap(),
+                b.mem.read_parcel(addr).unwrap(),
+                "at {addr:#x}"
+            );
+        }
+    }
+
+    /// An image needing `DEFAULT_MEMORY_BYTES + extra` bytes (a size
+    /// that ends mid-page when `extra` is not a page multiple), with
+    /// data on the last word below its stack top.
+    fn big_image(extra: u32) -> Image {
+        let mut img = assemble_text("enter 8\nmov 0(sp),$3\nhalt").unwrap();
+        let top = DEFAULT_MEMORY_BYTES + extra - 4;
+        img.stack_top = Some(top);
+        img.data.push((top - 4, vec![-7]));
+        img
+    }
+
+    #[test]
+    fn reset_from_matches_fresh_load_by_byte_scan() {
+        let images = [
+            assemble_text("mov 0(sp),$5\nhalt").unwrap(),
+            big_image(8),
+            big_image(crate::mem::PAGE_BYTES as u32 + 516),
+            assemble_text("enter 8\nleave 8\nhalt").unwrap(),
+        ];
+        let mut m = Machine::load(&images[0]).unwrap();
+        for (i, img) in images.iter().chain(&images).enumerate() {
+            // Dirty pages all over the current memory, the last word
+            // included, then recycle the buffer for `img`.
+            let size = m.mem.size();
+            for k in 0..64u32 {
+                let at = k.wrapping_mul(0x9E37_79B9) % size;
+                m.mem.write_word(at, (k + 1) as i32 * 0x0101_0101).unwrap();
+            }
+            m.mem.write_word(size - 4, -1).unwrap();
+            m.mem.write_parcel(size - 2, 0xBEEF).unwrap();
+            m.reset_from(img).unwrap();
+            let fresh = Machine::load(img).unwrap();
+            assert_same_bytes(&m, &fresh);
+            assert_eq!(m, fresh, "image {i}");
+
+            // zero() alone leaves a machine whose memory is all zero.
+            let mut z = m.clone();
+            z.mem.zero();
+            assert!((0..z.mem.size())
+                .step_by(2)
+                .all(|a| z.mem.read_parcel(a) == Ok(0)));
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! as typed [`PipeEvent`]s through the [`PipeObserver`] trait. The
 //! default observer, [`NullObserver`], is a set of empty inlined
 //! methods that monomorphize away — the uninstrumented simulator pays
-//! nothing. Real observers collect events into a bounded ring
-//! ([`EventRing`]), aggregate them per branch site
+//! nothing — and commit-only observers ([`Interest::Commits`]) pay
+//! only for the commit stream. Real observers collect events into a
+//! bounded ring ([`EventRing`]), aggregate them per branch site
 //! ([`crate::BranchProfiler`]), or both at once (observers compose as
 //! tuples).
 //!
@@ -344,20 +345,60 @@ impl PipeEvent {
     }
 }
 
+/// How much of the event stream an observer consumes.
+///
+/// Levels are ordered: an observer at a level receives every event a
+/// lower level would, and call sites build an event only when the
+/// observer's level asks for it. The level is a compile-time constant
+/// ([`PipeObserver::INTEREST`]), so skipped emission paths fold away at
+/// monomorphization.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Interest {
+    /// No events at all: the run compiles to the uninstrumented code.
+    Off,
+    /// Only [`PipeEvent::Commit`], built at the shared commit point
+    /// ([`crate::Machine::execute_observed`]). Fetch, decode, fold,
+    /// resolve, stall and fault events are never constructed — nor
+    /// is the PDU's [`PipeEvent::FoldFail`] re-decode.
+    Commits,
+    /// Every event.
+    All,
+}
+
+impl Interest {
+    /// The larger of two levels: what a tuple of observers consumes.
+    pub const fn max(self, other: Interest) -> Interest {
+        if self as u8 >= other as u8 {
+            self
+        } else {
+            other
+        }
+    }
+}
+
 /// A sink for pipeline events.
 ///
 /// Implementations should be cheap: the simulator calls [`event`] from
-/// its inner loop. The associated `ENABLED` constant lets call sites
-/// skip event construction entirely for the no-op observer, so the
-/// default-instantiated simulator compiles to exactly the
-/// uninstrumented code.
+/// its inner loop. The associated [`INTEREST`] level lets call sites
+/// skip event construction for events the observer would discard:
+///
+/// * [`Interest::Off`] ([`NullObserver`]) — the simulator compiles to
+///   exactly the uninstrumented code;
+/// * [`Interest::Commits`] ([`crate::CommitLog`],
+///   [`crate::PrefixCheck`]) — only [`PipeEvent::Commit`] is built,
+///   so commit-checking campaign lanes pay for nothing else;
+/// * [`Interest::All`] (the default) — every event.
+///
+/// No level changes the simulation itself: cycle counts, statistics
+/// and architectural state are identical under every observer.
 ///
 /// [`event`]: PipeObserver::event
+/// [`INTEREST`]: PipeObserver::INTEREST
 pub trait PipeObserver {
-    /// Whether this observer consumes events. Call sites guard event
-    /// construction on it; when `false` the whole emission path folds
-    /// away at monomorphization.
-    const ENABLED: bool = true;
+    /// Which events this observer consumes. Call sites guard event
+    /// construction on it; an observer must not rely on events above
+    /// its level.
+    const INTEREST: Interest = Interest::All;
 
     /// Receive one event.
     fn event(&mut self, ev: PipeEvent);
@@ -368,15 +409,16 @@ pub trait PipeObserver {
 pub struct NullObserver;
 
 impl PipeObserver for NullObserver {
-    const ENABLED: bool = false;
+    const INTEREST: Interest = Interest::Off;
 
     #[inline(always)]
     fn event(&mut self, _ev: PipeEvent) {}
 }
 
-/// Observers compose: a tuple forwards every event to both members.
+/// Observers compose: a tuple forwards every event to both members,
+/// and consumes the larger of their two interest levels.
 impl<A: PipeObserver, B: PipeObserver> PipeObserver for (A, B) {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
+    const INTEREST: Interest = A::INTEREST.max(B::INTEREST);
 
     #[inline]
     fn event(&mut self, ev: PipeEvent) {
@@ -1383,8 +1425,19 @@ mod tests {
         pair.event(PipeEvent::Halt { cycle: 1 });
         assert_eq!(pair.0.len(), 1);
         assert_eq!(pair.1.len(), 1);
-        const { assert!(<(EventRing, EventRing)>::ENABLED) };
-        const { assert!(!NullObserver::ENABLED) };
+        assert_eq!(<(EventRing, EventRing)>::INTEREST, Interest::All);
+        assert_eq!(NullObserver::INTEREST, Interest::Off);
+        assert_eq!(<(NullObserver, NullObserver)>::INTEREST, Interest::Off);
+        assert_eq!(
+            <(crate::CommitLog, NullObserver)>::INTEREST,
+            Interest::Commits
+        );
+        assert_eq!(
+            <(NullObserver, crate::CommitLog)>::INTEREST,
+            Interest::Commits
+        );
+        assert_eq!(<(crate::CommitLog, EventRing)>::INTEREST, Interest::All);
+        assert_eq!(<(EventRing, crate::PrefixCheck)>::INTEREST, Interest::All);
     }
 
     #[test]

@@ -3,7 +3,7 @@ use std::sync::Arc;
 
 use crisp_isa::{decode_and_fold, encoding, fold_failure, Decoded, FoldPolicy, IsaError, NextPc};
 
-use crate::observe::{NullObserver, PipeEvent, PipeObserver};
+use crate::observe::{Interest, NullObserver, PipeEvent, PipeObserver};
 use crate::predecode::PredecodedImage;
 use crate::soft_error::{apply_fault, FaultField, ParityMode};
 use crate::{DecodedCache, Memory};
@@ -201,8 +201,9 @@ impl Pdu {
     }
 
     /// [`Pdu::tick`] reporting decode, fold, fold-failure and
-    /// cache-fill events to `obs`. With [`NullObserver`] this is
-    /// exactly `tick`.
+    /// cache-fill events to `obs`. None of them is a commit, so below
+    /// [`Interest::All`] (with [`NullObserver`] or a commit-only
+    /// observer) this is exactly `tick`.
     pub fn tick_observed<O: PipeObserver>(
         &mut self,
         cycle: u64,
@@ -224,7 +225,7 @@ impl Pdu {
             // inserted as-is — the SDC path the campaign measures.
             if delta != 0 && cache.parity_mode() == ParityMode::DetectInvalidate {
                 cache.parity_invalidates += 1;
-                if O::ENABLED {
+                if O::INTEREST == Interest::All {
                     obs.event(PipeEvent::ParityError {
                         cycle,
                         pc: d.pc,
@@ -234,7 +235,7 @@ impl Pdu {
                 continue;
             }
             let evicted = cache.insert(d);
-            if O::ENABLED {
+            if O::INTEREST == Interest::All {
                 obs.event(PipeEvent::CacheFill {
                     cycle,
                     pc: d.pc,
@@ -335,8 +336,8 @@ impl Pdu {
     /// Book-keep one emitted entry: counters, observer events, the PIR
     /// pipeline push and the next-address decision. `window_len` is the
     /// length of the decode window in effect (needed only to rebuild
-    /// the window for the [`PipeEvent::FoldFail`] diagnostic when an
-    /// observer is attached).
+    /// the window for the [`PipeEvent::FoldFail`] diagnostic when the
+    /// observer's interest is [`Interest::All`]).
     fn emit_decoded<O: PipeObserver>(
         &mut self,
         cycle: u64,
@@ -349,7 +350,7 @@ impl Pdu {
         self.decodes += 1;
         self.folds += u64::from(d.folded);
         self.since_demand += 1;
-        if O::ENABLED {
+        if O::INTEREST == Interest::All {
             obs.event(PipeEvent::Decode {
                 cycle,
                 pc: d.pc,

@@ -28,7 +28,7 @@ use crisp_isa::{Decoded, FoldClass, NextPc};
 use crate::accounting::{BubbleCause, CycleAccounts};
 use crate::config::FaultInjection;
 use crate::geometry::{PipelineGeometry, StageHistogram, MAX_DEPTH, MIN_DEPTH};
-use crate::observe::{DegradeUnit, NullObserver, PipeEvent, PipeObserver, StallKind};
+use crate::observe::{DegradeUnit, Interest, NullObserver, PipeEvent, PipeObserver, StallKind};
 use std::sync::Arc;
 
 use crate::predecode::PredecodedImage;
@@ -449,7 +449,7 @@ fn kill_slot<O: PipeObserver>(
         let was_valid = s.valid;
         if was_valid {
             *flushed += 1;
-            if O::ENABLED {
+            if O::INTEREST == Interest::All {
                 obs.event(PipeEvent::Squash {
                     cycle,
                     pc: s.d.pc,
@@ -563,7 +563,7 @@ impl PipeFront {
         let mispredicted = taken != slot.followed;
         let guess_miss = slot.guess_miss;
         let stage_idx = pos + 1;
-        if O::ENABLED {
+        if O::INTEREST == Interest::All {
             lane.obs.event(PipeEvent::BranchResolve {
                 cycle: cyc,
                 branch_pc,
@@ -699,7 +699,7 @@ impl PipeFront {
                 };
                 if let Some(pc) = struck {
                     lane.stats.faults_injected += 1;
-                    if O::ENABLED {
+                    if O::INTEREST == Interest::All {
                         lane.obs.event(PipeEvent::FaultInject {
                             cycle: cyc,
                             slot: plan.slot,
@@ -740,7 +740,7 @@ impl PipeFront {
                     if !slot.resolved {
                         // Resolved only now — the folded-compare case.
                         let mispredicted = taken != slot.followed;
-                        if O::ENABLED {
+                        if O::INTEREST == Interest::All {
                             lane.obs.event(PipeEvent::BranchResolve {
                                 cycle: cyc,
                                 branch_pc: slot.d.branch_pc.unwrap_or(slot.d.pc),
@@ -792,7 +792,7 @@ impl PipeFront {
                     self.fetch_pc = Some(step.next_pc);
                 }
                 if step.halted {
-                    if O::ENABLED {
+                    if O::INTEREST == Interest::All {
                         // Close any open stall so begin/end pairs match
                         // the stall-cycle counters exactly.
                         self.sync_stall(&mut *lane.obs, cyc, None);
@@ -848,7 +848,7 @@ impl PipeFront {
                     // time: the cache invalidated it, so fetch falls into
                     // the ordinary miss path below and the PDU redecodes
                     // the entry from memory.
-                    if O::ENABLED {
+                    if O::INTEREST == Interest::All {
                         lane.obs.event(PipeEvent::ParityError {
                             cycle: cyc,
                             pc,
@@ -862,7 +862,7 @@ impl PipeFront {
             };
             if let Some(d) = looked_up {
                 lane.stats.icache_hits += 1;
-                if O::ENABLED {
+                if O::INTEREST == Interest::All {
                     lane.obs.event(PipeEvent::FetchHit {
                         cycle: cyc,
                         pc,
@@ -911,7 +911,7 @@ impl PipeFront {
                         Some(p) => p.guess(branch_pc),
                     };
                     slot.guess_miss = guess_miss;
-                    if O::ENABLED && live_predictor.is_some() {
+                    if O::INTEREST == Interest::All && live_predictor.is_some() {
                         lane.obs.event(PipeEvent::Predict {
                             cycle: cyc,
                             branch_pc,
@@ -926,7 +926,7 @@ impl PipeFront {
                         slot.resolved = true;
                         slot.followed = taken;
                         lane.stats.resolved_at_fetch += 1;
-                        if O::ENABLED {
+                        if O::INTEREST == Interest::All {
                             lane.obs.event(PipeEvent::BranchResolve {
                                 cycle: cyc,
                                 branch_pc: d.branch_pc.unwrap_or(d.pc),
@@ -970,7 +970,7 @@ impl PipeFront {
                 if self.missing_pc != Some(pc) {
                     self.missing_pc = Some(pc);
                     lane.stats.icache_misses += 1;
-                    if O::ENABLED {
+                    if O::INTEREST == Interest::All {
                         lane.obs.event(PipeEvent::FetchMiss { cycle: cyc, pc });
                     }
                 }
@@ -1000,7 +1000,7 @@ impl PipeFront {
             stalled = Some(StallKind::Indirect);
             self.causes[0] = BubbleCause::Indirect;
         }
-        if O::ENABLED {
+        if O::INTEREST == Interest::All {
             self.sync_stall(&mut *lane.obs, cyc, stalled);
         }
 
@@ -1025,7 +1025,7 @@ impl PipeFront {
         if lane.cfg.degrade.is_some() {
             while let Some(way) = lane.cache.take_degraded() {
                 lane.stats.degraded_ways += 1;
-                if O::ENABLED {
+                if O::INTEREST == Interest::All {
                     lane.obs.event(PipeEvent::Degrade {
                         cycle: cyc,
                         unit: DegradeUnit::Cache,
@@ -1036,7 +1036,7 @@ impl PipeFront {
             if let Some(p) = lane.predictor.as_mut() {
                 while let Some(way) = p.take_degraded() {
                     lane.stats.degraded_ways += 1;
-                    if O::ENABLED {
+                    if O::INTEREST == Interest::All {
                         lane.obs.event(PipeEvent::Degrade {
                             cycle: cyc,
                             unit: DegradeUnit::Btb,

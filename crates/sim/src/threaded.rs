@@ -49,8 +49,8 @@
 //!    hardware's cache invalidate and keeps the tier honest if decode
 //!    ever goes live).
 //!
-//! Under an enabled [`PipeObserver`] (or with branch-trace recording
-//! on) the block walker retires each entry through
+//! Under any observer above [`Interest::Off`] (or with branch-trace
+//! recording on) the block walker retires each entry through
 //! [`Machine::execute_observed`], so observed commit streams and traces
 //! are bit-identical to the interpreter's (`tests/prop_threaded.rs`
 //! proves this over the random program and random mini-C corpora); with
@@ -64,7 +64,7 @@ use crisp_isa::{BinOp, Cond, Decoded, ExecOp, FoldClass, FoldPolicy, Operand};
 
 use crate::diff::{reset_or_load, LockstepBuffers};
 use crate::functional::push_branch_event;
-use crate::observe::{NullObserver, PipeObserver};
+use crate::observe::{Interest, NullObserver, PipeObserver};
 use crate::predecode::PredecodedImage;
 use crate::{
     CommitLog, FunctionalRun, FunctionalSim, HaltReason, Machine, OpcodeCounts, RunStats, SimError,
@@ -836,7 +836,7 @@ fn exec_block<O: PipeObserver>(
     text_hi: u32,
     obs: &mut O,
 ) -> Result<BlockExit, SimError> {
-    if O::ENABLED || record_trace {
+    if O::INTEREST != Interest::Off || record_trace {
         // Observed body: re-walk the decoded entries (melded micro-ops
         // cover two of them) and retire each through the shared commit
         // point so the event stream (and the branch trace — superblock
@@ -873,7 +873,7 @@ fn exec_block<O: PipeObserver>(
 
     let seq = seq0 + (blk.entries - 1) as u64;
     let term = &blk.term;
-    if O::ENABLED || record_trace || matches!(term.kind, TermKind::General) {
+    if O::INTEREST != Interest::Off || record_trace || matches!(term.kind, TermKind::General) {
         let step = m.execute_observed(&term.d, seq, obs)?;
         if let Some((addr, _)) = step.mem_write {
             note_addr(dirty, text_lo, text_hi, addr);

@@ -3,16 +3,28 @@
 //! engine's counters, the branch-site profiler must agree with both,
 //! and the JSONL trace format must round-trip losslessly.
 //!
+//! Observer interest (`PipeObserver::INTEREST`) decides only which
+//! events get built, never what the machine does: on the campaign
+//! corpus (`rand_prog` × `sweep_configs()` plus a fault-armed
+//! configuration), every engine gives the same statistics, final
+//! machine and halt reason under `NullObserver` (`Off`), `CommitLog`
+//! (`Commits`) and `(CommitLog, EventRing)` (`All`), and the
+//! commit-only stream is exactly the `Commit` subsequence of the full
+//! one.
+//!
 //! Programs are a bounded counted loop over a random mix of ALU
 //! operations and forward conditional skips with random prediction
 //! bits — the same shape `prop_equivalence` uses, exercising folds,
 //! mispredicts at every resolution stage, cache misses and stalls.
 
-use crisp::asm::{assemble, Item, Module};
+use crisp::asm::rand_prog::GenProgram;
+use crisp::asm::{assemble, Image, Item, Module};
 use crisp::isa::{BinOp, Cond, FoldPolicy, Instr, Operand};
 use crisp::sim::{
-    parse_jsonl, write_jsonl, BranchProfiler, CycleSim, EventRing, HwPredictor, Machine, PipeEvent,
-    PipelineGeometry, SimConfig, StageHistogram, StallKind,
+    nth_field, parse_jsonl, sweep_configs, write_jsonl, BranchProfiler, CommitLog, CycleSim,
+    EventRing, FaultPlan, FaultTarget, FunctionalRun, FunctionalSim, HwPredictor, Machine,
+    NullObserver, ParityMode, PipeEvent, PipeObserver, PipelineGeometry, SimConfig, SimError,
+    StageHistogram, StallKind, ThreadedSim, FAULT_SPACE,
 };
 use proptest::prelude::*;
 
@@ -376,5 +388,155 @@ proptest! {
         prop_assert_eq!(text.lines().count(), events.len());
         let parsed = parse_jsonl(&text).unwrap();
         prop_assert_eq!(parsed, events);
+    }
+}
+
+/// Step and cycle budget for the interest-invariance runs: generated
+/// programs halt well inside it, and a fault that makes one spin ends
+/// in the watchdog under every observer alike.
+const BUDGET: u64 = 200_000;
+
+/// The full-stream observer: commits into the log, everything into a
+/// ring sized for the whole run.
+fn full() -> (CommitLog, EventRing) {
+    (CommitLog::default(), EventRing::new(1 << 22))
+}
+
+/// The `Commit` subsequence of a full event stream, as a commit log.
+fn commits_of(ring: &EventRing) -> CommitLog {
+    let mut log = CommitLog::default();
+    for ev in ring
+        .events()
+        .filter(|e| matches!(e, PipeEvent::Commit { .. }))
+    {
+        log.event(*ev);
+    }
+    log
+}
+
+/// `CommitLog` alone saw exactly what the full stream committed, and
+/// the tuple's own log agrees with both.
+fn same_commits(
+    alone: &CommitLog,
+    (log, ring): &(CommitLog, EventRing),
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ring.dropped, 0, "ring sized for the whole run");
+    let sub = commits_of(ring);
+    prop_assert!(
+        alone.records == sub.records && alone.cycles == sub.cycles,
+        "{}: commit-only stream differs from the full stream's commits",
+        what
+    );
+    prop_assert!(
+        log.records == sub.records && log.cycles == sub.cycles,
+        "{}: tuple's commit log differs from its own event stream",
+        what
+    );
+    Ok(())
+}
+
+/// One cycle-engine run under observer `obs`.
+fn cycle_run<O: PipeObserver>(
+    image: &Image,
+    cfg: SimConfig,
+    obs: O,
+) -> Result<(crisp::sim::CycleRun, O), SimError> {
+    CycleSim::with_observer(Machine::load(image).unwrap(), cfg, obs).run_observed()
+}
+
+/// Whether two cycle runs left identical stats, machine and halt
+/// reason (or failed identically).
+fn same_cycle<A, B>(
+    a: &Result<(crisp::sim::CycleRun, A), SimError>,
+    b: &Result<(crisp::sim::CycleRun, B), SimError>,
+) -> bool {
+    match (a, b) {
+        (Ok((a, _)), Ok((b, _))) => {
+            a.stats == b.stats
+                && a.machine == b.machine
+                && a.halted == b.halted
+                && a.halt_reason == b.halt_reason
+        }
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    }
+}
+
+/// Whether two functional-tier runs left identical stats, machine and
+/// halt reason (or failed identically).
+fn same_functional(
+    a: &Result<FunctionalRun, SimError>,
+    b: &Result<FunctionalRun, SimError>,
+) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            a.stats == b.stats
+                && a.machine == b.machine
+                && a.halted == b.halted
+                && a.halt_reason == b.halt_reason
+        }
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn observer_interest_never_changes_simulation(
+        seed in 0u64..10_000,
+        max_blocks in 1usize..10,
+        fault_cycle in 0u64..800,
+        fault_slot in 0u32..32,
+        fault_field in 0u64..FAULT_SPACE,
+    ) {
+        let image = GenProgram::generate(seed, max_blocks).image().unwrap();
+        let armed = SimConfig {
+            parity: ParityMode::DetectInvalidate,
+            fault_plan: Some(FaultPlan {
+                cycle: fault_cycle,
+                slot: fault_slot,
+                field: nth_field(fault_field),
+                target: FaultTarget::Cache,
+            }),
+            ..SimConfig::default()
+        };
+        for cfg in sweep_configs().into_iter().chain([armed]) {
+            let cfg = SimConfig { max_cycles: BUDGET, ..cfg };
+            let what = format!("cycle engine, seed {seed}, {cfg:?}");
+            let off = cycle_run(&image, cfg, NullObserver);
+            let commits = cycle_run(&image, cfg, CommitLog::default());
+            let all = cycle_run(&image, cfg, full());
+            prop_assert!(same_cycle(&off, &commits), "{}: Off vs Commits", what);
+            prop_assert!(same_cycle(&off, &all), "{}: Off vs All", what);
+            if let (Ok((_, alone)), Ok((_, tuple))) = (&commits, &all) {
+                same_commits(alone, tuple, &what)?;
+            }
+        }
+
+        for policy in [FoldPolicy::None, FoldPolicy::Host1, FoldPolicy::Host13, FoldPolicy::All] {
+            let load = || Machine::load(&image).unwrap();
+            let interp = || FunctionalSim::with_policy(load(), policy).max_steps(BUDGET);
+            let threaded = || ThreadedSim::with_policy(load(), policy).max_steps(BUDGET);
+            let (mut alone, mut tuple) = (CommitLog::default(), full());
+            let off = interp().run_observed(&mut NullObserver);
+            let commits = interp().run_observed(&mut alone);
+            let all = interp().run_observed(&mut tuple);
+            let what = format!("functional engine, seed {seed}, {policy:?}");
+            prop_assert!(same_functional(&off, &commits), "{}: Off vs Commits", what);
+            prop_assert!(same_functional(&off, &all), "{}: Off vs All", what);
+            same_commits(&alone, &tuple, &what)?;
+
+            let (mut alone, mut tuple) = (CommitLog::default(), full());
+            let off = threaded().run_observed(&mut NullObserver);
+            let commits = threaded().run_observed(&mut alone);
+            let all = threaded().run_observed(&mut tuple);
+            let what = format!("threaded engine, seed {seed}, {policy:?}");
+            prop_assert!(same_functional(&off, &commits), "{}: Off vs Commits", what);
+            prop_assert!(same_functional(&off, &all), "{}: Off vs All", what);
+            same_commits(&alone, &tuple, &what)?;
+        }
     }
 }
