@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use crisp_cc::{compile_crisp, CompileOptions};
 use crisp_sim::{
-    BranchProfiler, CycleSim, EventRing, FunctionalSim, Machine, PredecodedImage, SimConfig,
+    BranchProfiler, CycleSim, EventRing, FunctionalSim, Machine, NullObserver, PredecodedImage,
+    SimConfig,
 };
 use crisp_workloads::{figure3_large, figure3_with_count, FIGURE3_LARGE_ITERS};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -146,8 +147,12 @@ fn bench_batch_kernel(c: &mut Criterion) {
                 .take()
                 .unwrap_or_else(|| Machine::load(&image).unwrap());
             m.reset_from(&image).unwrap();
-            let mut sim = CycleSim::new(m, SimConfig::default());
-            sim.set_predecoded(Arc::clone(&table));
+            let sim = CycleSim::with_predecoded(
+                m,
+                SimConfig::default(),
+                NullObserver,
+                Arc::clone(&table),
+            );
             let run = sim.run().unwrap();
             let cycles = run.stats.cycles;
             pool = Some(run.machine);

@@ -52,8 +52,8 @@ use crisp_asm::Image;
 use crisp_cc::{compile_crisp, CompileOptions};
 use crisp_sim::{
     classify_batch, fault_reference, nth_field, CommitLog, CycleSim, FaultOutcome, FaultPlan,
-    FaultTarget, FunctionalSim, HaltReason, Machine, MachinePool, ParityMode, PredecodedImage,
-    SimConfig, SimError, ThreadedSim, TranslatedImage, FAULT_SPACE,
+    FaultTarget, FunctionalSim, HaltReason, Machine, MachinePool, NullObserver, ParityMode,
+    PredecodedImage, SimConfig, SimError, ThreadedSim, TranslatedImage, FAULT_SPACE,
 };
 use crisp_workloads::{
     campaign_workloads, dispatch_workload, figure3_large, figure3_with_count, FIGURE3_LARGE_ITERS,
@@ -240,8 +240,12 @@ fn run_suite(reduced: bool) -> Vec<Measured> {
             .take()
             .unwrap_or_else(|| Machine::load(&small).unwrap());
         m.reset_from(&small).unwrap();
-        let mut sim = CycleSim::new(m, SimConfig::default());
-        sim.set_predecoded(Arc::clone(&small_table));
+        let sim = CycleSim::with_predecoded(
+            m,
+            SimConfig::default(),
+            NullObserver,
+            Arc::clone(&small_table),
+        );
         let run = sim.run().unwrap();
         let n = run.stats.program_instrs;
         pool = Some(run.machine);
@@ -339,8 +343,12 @@ fn run_suite(reduced: bool) -> Vec<Measured> {
                 .take()
                 .unwrap_or_else(|| Machine::load(&large).unwrap());
             m.reset_from(&large).unwrap();
-            let mut sim = CycleSim::new(m, SimConfig::default());
-            sim.set_predecoded(Arc::clone(&large_table));
+            let sim = CycleSim::with_predecoded(
+                m,
+                SimConfig::default(),
+                NullObserver,
+                Arc::clone(&large_table),
+            );
             let run = sim.run().unwrap();
             let n = run.stats.program_instrs;
             pool = Some(run.machine);
@@ -463,12 +471,12 @@ fn classify_percase(
         .run_observed(&mut ref_log)
         .expect("campaign reference runs");
     assert_eq!(reference.halt_reason, HaltReason::Halted, "reference halts");
-    let mut sim = CycleSim::with_observer(
+    let sim = CycleSim::with_predecoded(
         pool.take(image).expect("campaign workload loads"),
         cfg,
         CommitLog::default(),
+        Arc::clone(table),
     );
-    sim.set_predecoded(Arc::clone(table));
     let (run, log) = match sim.run_observed() {
         Ok(pair) => pair,
         Err(e) => {

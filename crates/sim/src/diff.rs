@@ -359,7 +359,8 @@ pub(crate) fn reset_or_load(buf: Option<Machine>, image: &Image) -> Result<Machi
 
 /// [`run_lockstep`] with the campaign fast paths: `predecoded` (when
 /// given) serves both engines' decode work from a shared table, and
-/// `bufs` recycles the machine buffers across calls.
+/// `bufs` recycles the machine buffers across calls. Without a table
+/// the call builds one and hands it to both engines.
 ///
 /// # Errors
 ///
@@ -386,18 +387,17 @@ pub fn run_lockstep_pooled(
     }
     let fmach = reset_or_load(bufs.func.take(), image)?;
     let cmach = reset_or_load(bufs.cycle.take(), image)?;
-    let mut func = match predecoded {
-        Some(t) => FunctionalSim::with_predecoded(fmach, Arc::clone(t)),
-        None => FunctionalSim::with_policy(fmach, cfg.fold_policy),
+    let table = match predecoded {
+        Some(t) => Arc::clone(t),
+        None => Arc::new(PredecodedImage::from_machine(&fmach, cfg.fold_policy)),
     };
-    let mut cyc = CycleSim::with_observer(
+    let mut func = FunctionalSim::with_predecoded(fmach, Arc::clone(&table));
+    let mut cyc = CycleSim::with_predecoded(
         cmach,
         cfg,
         (CommitLog::default(), EventRing::new(TIMELINE_RING)),
+        table,
     );
-    if let Some(t) = predecoded {
-        cyc.set_predecoded(Arc::clone(t));
-    }
     let outcome = lockstep_loop(&mut func, &mut cyc, &cfg);
     bufs.func = Some(func.into_machine());
     bufs.cycle = Some(cyc.into_machine());
@@ -636,6 +636,9 @@ pub struct DiffReference {
     log: Arc<CommitLog>,
     /// `Some` only when the reference halted within the step budget.
     machine: Option<Machine>,
+    /// The table the reference decoded from, which the sweep's lanes
+    /// share when the caller has none.
+    predecoded: Arc<PredecodedImage>,
 }
 
 impl DiffReference {
@@ -661,7 +664,8 @@ impl DiffReference {
 /// cycle engine retires at most one entry per cycle, so a cycle run
 /// inside its watchdog can never need more reference steps than that.
 /// A reference that errors or exhausts the budget is still returned,
-/// just not [`DiffReference::clean`].
+/// just not [`DiffReference::clean`]. Without `predecoded` the call
+/// builds the table, and the reference keeps it for the sweep's lanes.
 ///
 /// # Errors
 ///
@@ -680,14 +684,15 @@ pub fn diff_reference(
             "predecode table policy must match the reference policy"
         );
     }
+    let predecoded = match predecoded {
+        Some(t) => Arc::clone(t),
+        None => PredecodedImage::shared(image, fold_policy)?,
+    };
     let machine = pool.take(image)?;
     let mut log = CommitLog::default();
-    let run = match predecoded {
-        Some(t) => FunctionalSim::with_predecoded(machine, Arc::clone(t)),
-        None => FunctionalSim::with_policy(machine, fold_policy),
-    }
-    .max_steps(max_steps)
-    .run_observed(&mut log);
+    let run = FunctionalSim::with_predecoded(machine, Arc::clone(&predecoded))
+        .max_steps(max_steps)
+        .run_observed(&mut log);
     let machine = match run {
         Ok(run) if run.halt_reason == HaltReason::Halted => Some(run.machine),
         Ok(run) => {
@@ -701,13 +706,15 @@ pub fn diff_reference(
     Ok(DiffReference {
         log: Arc::new(log),
         machine,
+        predecoded,
     })
 }
 
 /// Batched variant of [`run_lockstep_pooled`]: run `cfgs` (all sharing
 /// `reference`'s fold policy) as SoA cycle-engine lanes against one
 /// precomputed functional reference, `lanes` at a time, refilling each
-/// slot as its lane drains.
+/// slot as its lane drains. Without `predecoded`, the lanes share the
+/// table the reference decoded from.
 ///
 /// A lane that matches the whole reference stream, halts, and
 /// reproduces the reference's final state reports
@@ -740,6 +747,7 @@ pub fn run_lockstep_batched(
 ) -> Result<Vec<LockstepOutcome>, SimError> {
     let mut outcomes: Vec<Option<LockstepOutcome>> = (0..cfgs.len()).map(|_| None).collect();
     let mut rerun: Vec<usize> = Vec::new();
+    let table = predecoded.unwrap_or(&reference.predecoded);
     match &reference.machine {
         None => rerun.extend(0..cfgs.len()),
         Some(ref_machine) => {
@@ -750,21 +758,12 @@ pub fn run_lockstep_batched(
                 while next < cfgs.len() && batch.free_lane().is_some() {
                     let cfg = cfgs[next];
                     cfg.validate();
-                    if let Some(t) = predecoded {
-                        assert_eq!(
-                            t.policy(),
-                            cfg.fold_policy,
-                            "predecode table policy must match the swept config"
-                        );
-                    }
-                    let mut sim = CycleSim::with_observer(
+                    let sim = CycleSim::with_predecoded(
                         pool.take(image)?,
                         cfg,
                         PrefixCheck::new(Arc::clone(&reference.log)),
+                        Arc::clone(table),
                     );
-                    if let Some(t) = predecoded {
-                        sim.set_predecoded(Arc::clone(t));
-                    }
                     batch.admit(next as u64, sim);
                     next += 1;
                 }
@@ -802,7 +801,7 @@ pub fn run_lockstep_batched(
         }
     }
     for idx in rerun {
-        outcomes[idx] = Some(run_lockstep_pooled(image, cfgs[idx], predecoded, bufs)?);
+        outcomes[idx] = Some(run_lockstep_pooled(image, cfgs[idx], Some(table), bufs)?);
     }
     Ok(outcomes
         .into_iter()

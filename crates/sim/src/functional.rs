@@ -146,12 +146,16 @@ impl FunctionalSim {
         }
         // Out-of-text or odd PC: decode on demand through a
         // stack-allocated window (no per-miss heap traffic), memoized
-        // in the overflow map.
+        // in the overflow map. An odd text PC reads the text as loaded,
+        // like every other decode of text.
         if let Some(d) = self.overflow.get(&pc) {
             return Ok(*d);
         }
         let mut window = [0u16; DECODE_WINDOW];
-        let n = self.machine.mem.parcel_window_into(pc, &mut window);
+        let n = self
+            .predecoded
+            .text_window(pc, &mut window)
+            .unwrap_or_else(|| self.machine.mem.parcel_window_into(pc, &mut window));
         let d = decode_and_fold(&window[..n], 0, pc, self.policy)
             .map_err(|source| SimError::Decode { pc, source })?;
         self.overflow.insert(pc, d);

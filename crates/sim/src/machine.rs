@@ -90,7 +90,13 @@ impl Machine {
     ///
     /// Same conditions as [`Machine::with_memory`].
     pub fn load(image: &Image) -> Result<Machine, SimError> {
-        Machine::with_memory(image, DEFAULT_MEMORY_BYTES.max(image.min_memory_bytes()))
+        Machine::with_memory(image, Machine::load_size(image))
+    }
+
+    /// The memory size [`Machine::load`] gives `image`: the default
+    /// 256 KiB, or more when the image needs it.
+    pub(crate) fn load_size(image: &Image) -> u32 {
+        DEFAULT_MEMORY_BYTES.max(image.min_memory_bytes())
     }
 
     /// First byte of the loaded text segment.
@@ -121,7 +127,7 @@ impl Machine {
     ///
     /// Same conditions as [`Machine::with_memory`].
     pub fn reset_from(&mut self, image: &Image) -> Result<(), SimError> {
-        let size = DEFAULT_MEMORY_BYTES.max(image.min_memory_bytes());
+        let size = Machine::load_size(image);
         if image.min_memory_bytes() > size {
             return Err(SimError::ImageTooLarge {
                 required: image.min_memory_bytes(),

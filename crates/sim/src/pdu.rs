@@ -36,7 +36,12 @@ const MAX_ENTRY_PARCELS: u32 = 8;
 /// Fold decisions are deterministic: an instruction is never decoded
 /// with insufficient lookahead to decide whether the following branch
 /// folds (the decoder waits for the queue instead), so the cache entry
-/// for an address is the same no matter when it was decoded.
+/// for an address is the same no matter when it was decoded. That is
+/// what lets the decode stage emit text entries straight from a shared
+/// [`PredecodedImage`]: the timing (queue fill, lookahead waits, parks)
+/// is simulated per cycle, but the decode work itself is paid once per
+/// image, and text is read-only to decode (see
+/// [`PredecodedImage::text_window`]).
 #[derive(Debug)]
 pub struct Pdu {
     policy: FoldPolicy,
@@ -65,9 +70,9 @@ pub struct Pdu {
     failure: Option<(u32, IsaError)>,
     /// Entries decoded since the last demand (prefetch-depth counter).
     since_demand: u32,
-    /// Shared predecode table serving the refill fast path (see
-    /// [`Pdu::set_predecoded`]).
-    predecoded: Option<Arc<PredecodedImage>>,
+    /// The program's predecode table: the source of every text entry
+    /// and of the load-time decode windows for text PCs.
+    predecoded: Arc<PredecodedImage>,
     /// Instructions decoded (including wrong-path work).
     pub decodes: u64,
     /// Entries that folded a branch.
@@ -75,11 +80,17 @@ pub struct Pdu {
 }
 
 impl Pdu {
-    /// Create a PDU. `prefetch_limit` bounds how many entries are
-    /// decoded beyond the last demand (use the cache size).
-    pub fn new(policy: FoldPolicy, mem_latency: u32, pipe_delay: u32, prefetch_limit: u32) -> Pdu {
+    /// Create a PDU decoding under `predecoded`'s fold policy.
+    /// `prefetch_limit` bounds how many entries are decoded beyond the
+    /// last demand (use the cache size).
+    pub fn new(
+        predecoded: Arc<PredecodedImage>,
+        mem_latency: u32,
+        pipe_delay: u32,
+        prefetch_limit: u32,
+    ) -> Pdu {
         Pdu {
-            policy,
+            policy: predecoded.policy(),
             mem_latency: mem_latency.max(1),
             pipe_delay,
             prefetch_limit: prefetch_limit.max(1),
@@ -90,31 +101,10 @@ impl Pdu {
             parked: true,
             failure: None,
             since_demand: 0,
-            predecoded: None,
+            predecoded,
             decodes: 0,
             folds: 0,
         }
-    }
-
-    /// Serve refills of text-segment PCs from a shared predecode table
-    /// instead of re-running `decode_and_fold` per miss. Timing is
-    /// unchanged — the queue-fill, lookahead-wait and park decisions
-    /// are reproduced from the cached entry (its host length recovers
-    /// the peek the legacy path performs on raw parcels) — only the
-    /// redundant decode work disappears. PCs the table does not cover
-    /// (odd addresses, jumps into data) still take the raw-memory path.
-    ///
-    /// # Panics
-    ///
-    /// If the table was decoded under a different fold policy, which
-    /// would serve wrong entries.
-    pub fn set_predecoded(&mut self, table: Arc<PredecodedImage>) {
-        assert_eq!(
-            table.policy(),
-            self.policy,
-            "predecode table policy must match the PDU's"
-        );
-        self.predecoded = Some(table);
     }
 
     /// Redirect prefetch to `pc` (EU demand on a cache miss, or initial
@@ -286,15 +276,15 @@ impl Pdu {
             _ => 1,
         };
 
-        // Fast path: the predecode table already holds this address's
-        // entry. Reproduce the legacy wait decisions from the entry's
-        // host length (what the raw-parcel peek would report), then
-        // emit the cached entry — fold determinism guarantees it is
-        // bit-identical to what decoding the current window would give.
-        // Err slots fall through to the raw path below, which reproduces
-        // the exact peek/wait sequence before parking with the right
-        // failure.
-        if let Some(Ok(d)) = self.predecoded.as_ref().and_then(|t| t.get(self.decode_pc)) {
+        // Table path: the predecode table holds this address's entry.
+        // Reproduce the wait decisions from the entry's host length
+        // (what the raw-parcel peek below would report), then emit the
+        // table entry — fold determinism guarantees it is bit-identical
+        // to what decoding the current window would give. PCs without
+        // an `Ok` slot (odd or out-of-text PCs, and `Err` slots, which
+        // must replay the exact peek/wait sequence before parking with
+        // the right failure) take the on-demand path below.
+        if let Some(Ok(d)) = self.predecoded.get(self.decode_pc) {
             let host_parcels = d.host_parcels();
             if window_len < host_parcels && !queue_full && !at_mem_end {
                 return; // wait: the peek would report Truncated
@@ -309,7 +299,7 @@ impl Pdu {
         }
 
         let mut wbuf = [0u16; MAX_ENTRY_PARCELS as usize];
-        let got = mem.parcel_window_into(self.decode_pc, &mut wbuf[..want_parcels]);
+        let got = self.window_into(mem, &mut wbuf[..want_parcels]);
         debug_assert_eq!(got, window_len);
         let window = &wbuf[..window_len];
 
@@ -364,7 +354,7 @@ impl Pdu {
                 });
             } else {
                 let mut wbuf = [0u16; MAX_ENTRY_PARCELS as usize];
-                let got = mem.parcel_window_into(self.decode_pc, &mut wbuf[..window_len]);
+                let got = self.window_into(mem, &mut wbuf[..window_len]);
                 if let Some(reason) = fold_failure(&wbuf[..got], 0, self.policy) {
                     obs.event(PipeEvent::FoldFail {
                         cycle,
@@ -378,6 +368,15 @@ impl Pdu {
         self.inflight
             .push_back((cycle + self.pipe_delay as u64, d, 0));
         self.advance_past(&d, cache);
+    }
+
+    /// Fill `buf` with the parcels at `decode_pc`: the load-time bytes
+    /// for a text PC (text is read-only to decode), live memory
+    /// elsewhere.
+    fn window_into(&self, mem: &Memory, buf: &mut [u16]) -> usize {
+        self.predecoded
+            .text_window(self.decode_pc, buf)
+            .unwrap_or_else(|| mem.parcel_window_into(self.decode_pc, buf))
     }
 
     fn park_failed(&mut self, e: IsaError) {
@@ -427,8 +426,14 @@ mod tests {
         Machine::load(&assemble_text(src).unwrap()).unwrap()
     }
 
+    /// A PDU over `m`'s text, decoding under `policy`.
+    fn pdu(m: &Machine, policy: FoldPolicy, mem_latency: u32, pipe_delay: u32) -> Pdu {
+        let table = Arc::new(PredecodedImage::from_machine(m, policy));
+        Pdu::new(table, mem_latency, pipe_delay, 32)
+    }
+
     fn run_pdu(m: &Machine, cycles: u64) -> (Pdu, DecodedCache) {
-        let mut pdu = Pdu::new(FoldPolicy::Host13, 1, 2, 32);
+        let mut pdu = pdu(m, FoldPolicy::Host13, 1, 2);
         let mut cache = DecodedCache::new(32);
         pdu.demand(0);
         for c in 0..cycles {
@@ -507,7 +512,7 @@ mod tests {
     #[test]
     fn pipe_delay_postpones_visibility() {
         let m = machine("nop\nnop\nhalt");
-        let mut pdu = Pdu::new(FoldPolicy::Host13, 1, 2, 32);
+        let mut pdu = pdu(&m, FoldPolicy::Host13, 1, 2);
         let mut cache = DecodedCache::new(32);
         pdu.demand(0);
         // Cycle 0: parcels arrive and the first entry decodes; it
@@ -523,7 +528,7 @@ mod tests {
     #[test]
     fn slow_memory_delays_decode() {
         let m = machine("nop\nhalt");
-        let mut pdu = Pdu::new(FoldPolicy::Host13, 4, 0, 32);
+        let mut pdu = pdu(&m, FoldPolicy::Host13, 4, 0);
         let mut cache = DecodedCache::new(32);
         pdu.demand(0);
         for c in 0..3 {
@@ -561,7 +566,7 @@ mod tests {
             halt
             ",
         );
-        let mut pdu = Pdu::new(FoldPolicy::Host13, 1, 2, 32);
+        let mut pdu = pdu(&m, FoldPolicy::Host13, 1, 2);
         let mut cache = DecodedCache::new(32);
         pdu.demand(0);
         for c in 0..10 {
@@ -581,7 +586,7 @@ mod tests {
         // sweeping the whole memory and trashing the cache.
         let src = "nop\n".repeat(500) + "halt";
         let m = machine(&src);
-        let mut pdu = Pdu::new(FoldPolicy::Host13, 1, 2, 32);
+        let mut pdu = pdu(&m, FoldPolicy::Host13, 1, 2);
         let mut cache = DecodedCache::new(32);
         pdu.demand(0);
         for c in 0..2000 {
@@ -592,10 +597,12 @@ mod tests {
     }
 
     #[test]
-    fn predecoded_fast_path_matches_raw_decode() {
+    fn table_path_matches_on_demand_decode() {
         // The same tick sequence must produce identical cache contents,
-        // counters and park state with and without a predecode table —
-        // the fast path is a pure work-saver, never a timing change.
+        // counters and park state whether entries come from the
+        // program's table or are decoded on demand (a table built from
+        // an empty text segment covers no PC) — the table is a pure
+        // work-saver, never a timing change.
         let src = "
             top: add 0(sp),$1
             cmp.s< 0(sp),$10
@@ -605,6 +612,7 @@ mod tests {
             jmp *0x10000
             halt
             ";
+        let empty = Machine::load(&crisp_asm::Image::new(0)).unwrap();
         for policy in [
             FoldPolicy::None,
             FoldPolicy::Host1,
@@ -612,10 +620,10 @@ mod tests {
             FoldPolicy::All,
         ] {
             let m = machine(src);
-            let table = Arc::new(PredecodedImage::from_machine(&m, policy));
-            let mut raw = Pdu::new(policy, 1, 2, 32);
-            let mut fast = Pdu::new(policy, 1, 2, 32);
-            fast.set_predecoded(Arc::clone(&table));
+            let uncovered = Arc::new(PredecodedImage::from_machine(&empty, policy));
+            assert!(uncovered.is_empty());
+            let mut raw = Pdu::new(uncovered, 1, 2, 32);
+            let mut fast = pdu(&m, policy, 1, 2);
             let mut raw_cache = DecodedCache::new(32);
             let mut fast_cache = DecodedCache::new(32);
             raw.demand(0);
@@ -637,6 +645,35 @@ mod tests {
             assert_eq!(raw.decodes, fast.decodes, "{policy:?}");
             assert_eq!(raw.folds, fast.folds, "{policy:?}");
         }
+    }
+
+    #[test]
+    fn text_is_read_only_to_decode() {
+        // Overwrite the program's text in memory after the table was
+        // built: the PDU must keep decoding what was loaded, on the
+        // table path and on the on-demand path alike (the first word
+        // is an undecodable opcode, so PC 0 has an `Err` slot).
+        let mut m = machine(".word 0x0000B800\nadd 0(sp),$1\nhalt");
+        let loaded = PredecodedImage::from_machine(&m, FoldPolicy::Host13);
+        let mut pdu = pdu(&m, FoldPolicy::Host13, 1, 2);
+        for addr in (0..m.text_end()).step_by(4) {
+            m.mem.write_word(addr, 0).unwrap();
+        }
+        let zeroed = PredecodedImage::from_machine(&m, FoldPolicy::Host13);
+        assert!(zeroed.decoded(0).is_some(), "live memory would decode at 0");
+        assert_ne!(zeroed.decoded(4), loaded.decoded(4));
+        let mut cache = DecodedCache::new(32);
+        pdu.demand(0);
+        for c in 0..20 {
+            pdu.tick(c, &m.mem, &mut cache);
+        }
+        assert_eq!(pdu.failure().map(|(pc, _)| *pc), Some(0));
+        assert!(!cache.contains(0));
+        pdu.demand(4);
+        for c in 20..40 {
+            pdu.tick(c, &m.mem, &mut cache);
+        }
+        assert_eq!(cache.lookup(4), loaded.decoded(4));
     }
 
     #[test]

@@ -244,20 +244,52 @@ impl CycleSim {
 }
 
 impl<O: PipeObserver> CycleSim<O> {
-    /// Build a simulator whose pipeline activity streams into `obs`.
+    /// Build a simulator whose pipeline activity streams into `obs`,
+    /// predecoding `machine`'s text segment under `cfg.fold_policy`
+    /// (see [`CycleSim::with_predecoded`] to share a table instead).
     ///
     /// # Panics
     ///
     /// Panics if `cfg` is invalid (see [`SimConfig::validate`]).
     pub fn with_observer(machine: Machine, cfg: SimConfig, obs: O) -> CycleSim<O> {
+        let predecoded = Arc::new(PredecodedImage::from_machine(&machine, cfg.fold_policy));
+        CycleSim::with_predecoded(machine, cfg, obs, predecoded)
+    }
+
+    /// Build a simulator whose PDU refills the decoded cache from an
+    /// already-built predecode table. Campaign drivers build one table
+    /// per image × fold policy and share it across every case and every
+    /// engine, so no run repeats the decode pass.
+    ///
+    /// Timing is exactly what [`CycleSim::with_observer`] gives: the
+    /// PDU still simulates queue fill, lookahead waits and parks per
+    /// cycle, and only takes each decoded entry from the table. The
+    /// table must describe `machine`'s text as loaded (it defines what
+    /// the text decodes to — stores into text do not change it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is invalid (see [`SimConfig::validate`]), or if
+    /// the table's fold policy differs from `cfg.fold_policy`.
+    pub fn with_predecoded(
+        machine: Machine,
+        cfg: SimConfig,
+        obs: O,
+        predecoded: Arc<PredecodedImage>,
+    ) -> CycleSim<O> {
         cfg.validate();
+        assert_eq!(
+            predecoded.policy(),
+            cfg.fold_policy,
+            "predecode table policy must match the simulator's"
+        );
         let entry = machine.pc;
         let mut sim = CycleSim {
             machine,
             cfg,
             cache: DecodedCache::with_parity(cfg.icache_entries, cfg.parity),
             pdu: Pdu::new(
-                cfg.fold_policy,
+                predecoded,
                 cfg.mem_latency,
                 cfg.pdu_pipe_delay,
                 cfg.icache_entries as u32,
@@ -278,20 +310,6 @@ impl<O: PipeObserver> CycleSim<O> {
         }
         sim.pdu.demand(entry);
         sim
-    }
-
-    /// Serve PDU refills from a shared predecode table instead of
-    /// re-running `decode_and_fold` per miss (see
-    /// [`Pdu::set_predecoded`]); timing is unchanged. Campaign drivers
-    /// build one table per image × fold policy and share it across
-    /// every case and both engines.
-    ///
-    /// # Panics
-    ///
-    /// If the table's fold policy differs from this simulator's
-    /// configuration.
-    pub fn set_predecoded(&mut self, table: Arc<PredecodedImage>) {
-        self.pdu.set_predecoded(table);
     }
 
     /// Recover the machine for buffer reuse (see

@@ -639,9 +639,10 @@ pub struct ClassifyBuffers {
 }
 
 /// Pooled variant of [`classify_fault`]: recycles per-worker machine
-/// buffers via [`Machine::reset_from`] and, when `predecoded` is given,
-/// shares one decode table (which must match `cfg.fold_policy`) between
-/// the functional reference and the faulted cycle run.
+/// buffers via [`Machine::reset_from`] and shares one decode table
+/// between the functional reference and the faulted cycle run —
+/// `predecoded` when given (it must match `cfg.fold_policy`), else the
+/// one [`fault_reference`] builds.
 ///
 /// Classification is identical to [`classify_fault`]. If the faulted
 /// run dies with a simulator error its machine buffer is lost and the
@@ -707,6 +708,9 @@ pub fn classify_fault_translated_pooled(
 pub struct FaultReference {
     log: Arc<CommitLog>,
     machine: Machine,
+    /// The table the reference decoded from, which the faulted lanes
+    /// share when the caller has none.
+    predecoded: Arc<PredecodedImage>,
 }
 
 impl FaultReference {
@@ -723,7 +727,9 @@ impl FaultReference {
 }
 
 /// Run the fault-free reference for [`classify_batch`]: the threaded
-/// tier when `translated` is given, the interpreter otherwise.
+/// tier when `translated` is given, the interpreter otherwise. The
+/// reference keeps the table it decoded from (`predecoded`, else the
+/// translation's, else one built here) for the faulted lanes.
 ///
 /// # Errors
 ///
@@ -757,18 +763,20 @@ pub fn fault_reference(
             "translated table policy must match cfg.fold_policy"
         );
     }
+    let predecoded = match (predecoded, translated) {
+        (Some(t), _) => Arc::clone(t),
+        (None, Some(t)) => Arc::clone(t.predecoded()),
+        (None, None) => PredecodedImage::shared(image, cfg.fold_policy)?,
+    };
     let machine = pool.take(image)?;
     let mut log = CommitLog::default();
     let run = match translated {
         Some(t) => ThreadedSim::with_translated(machine, Arc::clone(t))
             .max_steps(cfg.max_cycles)
             .run_observed(&mut log)?,
-        None => match predecoded {
-            Some(t) => FunctionalSim::with_predecoded(machine, Arc::clone(t)),
-            None => FunctionalSim::with_policy(machine, cfg.fold_policy),
-        }
-        .max_steps(cfg.max_cycles)
-        .run_observed(&mut log)?,
+        None => FunctionalSim::with_predecoded(machine, Arc::clone(&predecoded))
+            .max_steps(cfg.max_cycles)
+            .run_observed(&mut log)?,
     };
     if run.halt_reason != HaltReason::Halted {
         pool.put(run.machine);
@@ -779,6 +787,7 @@ pub fn fault_reference(
     Ok(FaultReference {
         log: Arc::new(log),
         machine: run.machine,
+        predecoded,
     })
 }
 
@@ -811,6 +820,8 @@ pub fn fault_reference(
 ///
 /// [`classify_fault_translated_pooled`] is the one-lane specialization
 /// of this kernel, so batch and scalar campaigns tally identically.
+/// Without `predecoded`, the lanes share the table the reference
+/// decoded from.
 ///
 /// # Errors
 ///
@@ -818,8 +829,8 @@ pub fn fault_reference(
 ///
 /// # Panics
 ///
-/// If a config's fold policy differs from the provided table's, or a
-/// config fails [`SimConfig::validate`].
+/// If a config's fold policy differs from the table's, or a config
+/// fails [`SimConfig::validate`].
 pub fn classify_batch(
     image: &Image,
     cfgs: &[SimConfig],
@@ -830,26 +841,18 @@ pub fn classify_batch(
 ) -> Result<Vec<FaultOutcome>, SimError> {
     let mut outcomes: Vec<Option<FaultOutcome>> = (0..cfgs.len()).map(|_| None).collect();
     let mut batch: MachineBatch<PrefixCheck> = MachineBatch::new(lanes.clamp(1, cfgs.len().max(1)));
+    let table = predecoded.unwrap_or(&reference.predecoded);
     let mut next = 0usize;
     loop {
         while next < cfgs.len() && batch.free_lane().is_some() {
             let cfg = cfgs[next];
             cfg.validate();
-            if let Some(t) = predecoded {
-                assert_eq!(
-                    t.policy(),
-                    cfg.fold_policy,
-                    "predecoded table policy must match cfg.fold_policy"
-                );
-            }
-            let mut sim = CycleSim::with_observer(
+            let sim = CycleSim::with_predecoded(
                 pool.take(image)?,
                 cfg,
                 PrefixCheck::new(Arc::clone(&reference.log)),
+                Arc::clone(table),
             );
-            if let Some(t) = predecoded {
-                sim.set_predecoded(Arc::clone(t));
-            }
             batch.admit(next as u64, sim);
             next += 1;
         }

@@ -23,8 +23,9 @@
 #   -s  benchmark seed (default: 0)
 #   -n  rounds; each round runs both sides once (default: 10)
 #   -t  seconds per run (default: 6)
-#   -b  base commit (default: the merge-base of HEAD and main, or
-#       HEAD~1 when HEAD is on main)
+#   -b  base commit (default: the merge-base of HEAD and main; when
+#       that is HEAD itself, HEAD if the working tree has uncommitted
+#       edits to tracked files, else HEAD~1)
 #
 # Raw per-run values go to .ab_bench/runs.tsv (side, round, metric,
 # value), one row per metric per run.
@@ -54,7 +55,7 @@ root=$(git rev-parse --show-toplevel)
 cd "$root"
 if [ -z "$base_ref" ]; then
     base_ref=$(git merge-base HEAD main 2>/dev/null || git rev-parse HEAD)
-    if [ "$base_ref" = "$(git rev-parse HEAD)" ]; then
+    if [ "$base_ref" = "$(git rev-parse HEAD)" ] && git diff --quiet HEAD; then
         base_ref=$(git rev-parse HEAD~1)
     fi
 fi

@@ -112,7 +112,7 @@ fn cycle_loop_is_alloc_free_under_nullobserver() {
     let _guard = serial();
     assert_cycle_loop_alloc_free(
         CycleSim::new(loaded_machine(), SimConfig::default()),
-        "demand-decode",
+        "own table",
     );
 }
 
@@ -121,9 +121,8 @@ fn cycle_loop_is_alloc_free_with_predecoded_table() {
     let _guard = serial();
     let machine = loaded_machine();
     let table = PredecodedImage::from_machine(&machine, SimConfig::default().fold_policy);
-    let mut sim = CycleSim::new(machine, SimConfig::default());
-    sim.set_predecoded(table.into());
-    assert_cycle_loop_alloc_free(sim, "predecoded");
+    let sim = CycleSim::with_predecoded(machine, SimConfig::default(), NullObserver, table.into());
+    assert_cycle_loop_alloc_free(sim, "shared table");
 }
 
 #[test]
