@@ -39,9 +39,8 @@
 //!                     run: threaded (default) or interp. Faulted runs
 //!                     always use the cycle engine — the struck state
 //!                     only exists there
-//!   --batch N         cycle-engine lanes per worker (default 8);
-//!                     --batch 1 is the scalar campaign, and any N
-//!                     produces byte-identical reports
+//!   --batch N         cases claimed per worker block (default 8);
+//!                     any N produces byte-identical reports
 //!   --smoke           bounded CI run (2 programs x 32 faults)
 //!   --resume FILE     checkpoint campaign progress in FILE
 //!   --report FILE     write the JSON AVF report to FILE
@@ -50,10 +49,10 @@
 //! ```
 //!
 //! Workers claim cases in `--batch`-sized blocks and run both phases
-//! of every case through the lane-parallel batch kernel
-//! ([`crisp_sim::MachineBatch`]); the fault-free reference commit log
-//! is computed once per program and shared by every case that strikes
-//! it. Worker panics are contained per block: the block is re-run case
+//! of every case through [`crisp_sim::classify_batch`], one
+//! cycle-engine run per phase that stops as soon as its verdict is
+//! fixed; the fault-free reference commit log is computed once per
+//! program and shared by every case that strikes it. Worker panics are contained per block: the block is re-run case
 //! by case on fresh machine buffers and only a case that panics solo
 //! is quarantined (recorded, skipped, campaign continues) — a single
 //! pathological case can no longer abort a multi-hour campaign. Exit
@@ -66,7 +65,7 @@ use std::sync::{Arc, OnceLock};
 use crisp_asm::rand_prog::{GenProgram, Rng};
 use crisp_asm::Image;
 use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult};
-use crisp_cli::{extract_flag, extract_switch, Checkpoint};
+use crisp_cli::{extract_flag, extract_switch, parse_num, Checkpoint};
 use crisp_sim::{
     classify_batch, fault_reference, nth_field, nth_pdu_field, nth_predictor_field,
     predictor_fault_space, Engine, FaultOutcome, FaultPlan, FaultReference, FaultTarget,
@@ -100,17 +99,6 @@ struct Quarantine {
     program_seed: u64,
     plan: FaultPlan,
     detail: String,
-}
-
-fn parse_num<T: std::str::FromStr>(
-    raw: &mut Vec<String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match extract_flag(raw, name).map_err(|e| e.to_string())? {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("{name}: bad value `{v}`")),
-    }
 }
 
 /// Derive the deterministic fault plan for campaign case `case`. The
@@ -264,26 +252,22 @@ fn run() -> Result<ExitCode, String> {
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     )?;
     let batch: u64 = parse_num(&mut raw, "--batch", 8)?;
-    let predictor: HwPredictor = extract_flag(&mut raw, "--predictor")
-        .map_err(|e| e.to_string())?
+    let predictor: HwPredictor = extract_flag(&mut raw, "--predictor")?
         .map_or(Ok(SimConfig::default().predictor), |v| {
             HwPredictor::parse(&v).map_err(|e| format!("--predictor: bad value `{v}`: {e}"))
         })?;
-    let target_spec = extract_flag(&mut raw, "--target")
-        .map_err(|e| e.to_string())?
-        .unwrap_or_else(|| "cache".into());
+    let target_spec = extract_flag(&mut raw, "--target")?.unwrap_or_else(|| "cache".into());
     let targets = parse_targets(&target_spec, predictor)?;
     // Campaigns default to the threaded tier for the fault-free
     // reference phase; --engine interp keeps the one-entry interpreter.
-    let engine = match extract_flag(&mut raw, "--engine").map_err(|e| e.to_string())? {
+    let engine = match extract_flag(&mut raw, "--engine")? {
         Some(name) => Engine::parse(&name)
             .ok_or_else(|| format!("unknown engine `{name}` (interp | threaded)"))?,
         None => Engine::default(),
     };
-    let resume_path = extract_flag(&mut raw, "--resume").map_err(|e| e.to_string())?;
-    let report_path = extract_flag(&mut raw, "--report").map_err(|e| e.to_string())?;
-    let heartbeat_secs: Option<u64> = extract_flag(&mut raw, "--heartbeat")
-        .map_err(|e| e.to_string())?
+    let resume_path = extract_flag(&mut raw, "--resume")?;
+    let report_path = extract_flag(&mut raw, "--report")?;
+    let heartbeat_secs: Option<u64> = extract_flag(&mut raw, "--heartbeat")?
         .map(|v| {
             v.parse()
                 .ok()
@@ -355,7 +339,7 @@ fn run() -> Result<ExitCode, String> {
     let total = programs * faults;
     let cp = match &resume_path {
         Some(path) => {
-            let loaded = Checkpoint::load_for_campaign(path, total).map_err(|e| e.to_string())?;
+            let loaded = Checkpoint::load_for_campaign(path, total)?;
             if let Some(cp) = &loaded {
                 println!(
                     "crisp-fault: resuming from {path} ({} / {total} cases done)",
@@ -374,7 +358,7 @@ fn run() -> Result<ExitCode, String> {
 
     // Run one claimed block: group its cases by program so each group
     // shares one reference lookup, then push both phases of every case
-    // through the lane-parallel batch kernel.
+    // through the per-case campaign kernel.
     let run_block = |cases: &[u64], pool: &mut MachinePool| {
         let mut out: Vec<(u64, CaseResult<Option<String>, Failure>)> =
             Vec::with_capacity(cases.len());
@@ -484,7 +468,7 @@ fn run() -> Result<ExitCode, String> {
     }
 
     if let Some(path) = &resume_path {
-        cp.save(path).map_err(|e| e.to_string())?;
+        cp.save(path)?;
     }
     let quarantined = report.quarantined;
     print_report(&cp, programs, faults, &quarantined, report_path.as_deref())?;

@@ -7,9 +7,9 @@
 //! and fold the results into a crash-safe [`Checkpoint`]. The
 //! supervisor owns the cross-cutting machinery:
 //!
-//! * **Batched claiming** — workers claim `block` cases at a time so
-//!   the driver can run them through a lane-parallel batch kernel
-//!   (`crisp_sim::MachineBatch`); `block = 1` is the scalar campaign.
+//! * **Block claiming** — workers claim `block` cases at a time so the
+//!   driver can share per-program work (the fault-free reference)
+//!   across a block's cases; `block = 1` claims one case at a time.
 //! * **Panic isolation** — a panicking block is retried case by case
 //!   on fresh worker state, so only the offending case is quarantined
 //!   (recorded, skipped, campaign continues) while its innocent
@@ -49,8 +49,8 @@ pub struct CampaignSpec<'a> {
     pub total: u64,
     /// Worker threads.
     pub jobs: usize,
-    /// Cases claimed (and run) per block; the batch kernels' lane
-    /// count. `1` is the scalar campaign.
+    /// Cases claimed (and run) per block. `1` claims one case at a
+    /// time; the block size never changes a result.
     pub block: u64,
     /// Persist the checkpoint every this many completed cases.
     pub save_every: u64,

@@ -46,6 +46,12 @@ impl fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
+impl From<UsageError> for String {
+    fn from(e: UsageError) -> String {
+        e.0
+    }
+}
+
 fn err<T>(msg: impl Into<String>) -> Result<T, UsageError> {
     Err(UsageError(msg.into()))
 }
@@ -249,6 +255,26 @@ pub fn extract_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>
         return Ok(Some(value));
     }
     Ok(None)
+}
+
+/// Remove `--name N` from an argument vector and parse it, falling
+/// back to `default` when the flag is absent.
+///
+/// # Errors
+///
+/// [`UsageError`] when the flag has no value or the value does not
+/// parse as a `T`.
+pub fn parse_num<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    name: &str,
+    default: T,
+) -> Result<T, UsageError> {
+    match extract_flag(args, name)? {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| UsageError(format!("{name}: bad value `{v}`"))),
+    }
 }
 
 /// Remove a boolean `--name` switch from an argument vector.

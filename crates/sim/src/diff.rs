@@ -24,11 +24,10 @@ use std::sync::Arc;
 
 use crisp_isa::FoldPolicy;
 
-use crate::batch::{LaneEnd, MachineBatch, MachinePool};
 use crate::config::HwPredictor;
 use crate::observe::{render_timeline_for, EventRing, Interest, PipeEvent, PipeObserver};
 use crate::predecode::PredecodedImage;
-use crate::{CycleSim, FunctionalSim, HaltReason, Machine, SimConfig, SimError};
+use crate::{CycleSim, FunctionalSim, HaltReason, LaneEnd, Machine, SimConfig, SimError};
 use crisp_asm::Image;
 
 /// Events of pipeline context retained for the divergence excerpt.
@@ -357,6 +356,35 @@ pub(crate) fn reset_or_load(buf: Option<Machine>, image: &Image) -> Result<Machi
     }
 }
 
+/// A free list of architectural-state buffers for the campaign
+/// kernels ([`run_lockstep_batched`], [`crate::classify_batch`]). A
+/// worker keeps one and every case takes a machine from it and puts it
+/// back, so the pool grows to the kernel's high-water mark (a case
+/// plus its reference) once and then serves every later case
+/// allocation-free.
+#[derive(Debug, Default)]
+pub struct MachinePool {
+    free: Vec<Machine>,
+}
+
+impl MachinePool {
+    /// A machine loaded from `image`, recycling a pooled buffer when
+    /// one is free ([`Machine::reset_from`] is bit-identical to a fresh
+    /// [`Machine::load`], so pooled and unpooled runs cannot diverge).
+    ///
+    /// # Errors
+    ///
+    /// Propagates load/reset failures.
+    pub fn take(&mut self, image: &Image) -> Result<Machine, SimError> {
+        reset_or_load(self.free.pop(), image)
+    }
+
+    /// Return a machine buffer to the pool for a later case.
+    pub fn put(&mut self, m: Machine) {
+        self.free.push(m);
+    }
+}
+
 /// [`run_lockstep`] with the campaign fast paths: `predecoded` (when
 /// given) serves both engines' decode work from a shared table, and
 /// `bufs` recycles the machine buffers across calls. Without a table
@@ -544,14 +572,13 @@ fn lockstep_loop(
 /// engine retires against a precomputed reference [`CommitLog`], in
 /// retirement order, without storing the stream.
 ///
-/// This is the batched campaign kernels' observer. Where the scalar
-/// harnesses either co-step a live functional engine
-/// ([`run_lockstep`]) or buffer the whole faulted stream for a
-/// post-hoc comparison ([`crate::classify_fault`]), batched lanes
-/// share one reference log per (image, fold policy) and each lane
-/// carries only a cursor into it — no per-lane log allocation — and
-/// the driver polls [`PrefixCheck::decided`] between waves to eject a
-/// lane whose verdict is already fixed.
+/// This is the campaign kernels' observer. Where the scalar lockstep
+/// harness co-steps a live functional engine ([`run_lockstep`]),
+/// campaign cases share one reference log per (image, fold policy) and
+/// each case carries only a cursor into it — no per-case log
+/// allocation — and the kernel's [`CycleSim::run_until`] stop
+/// predicate polls [`PrefixCheck::decided`] every cycle to end a run
+/// whose verdict is already fixed.
 #[derive(Debug, Clone)]
 pub struct PrefixCheck {
     reference: Arc<CommitLog>,
@@ -629,20 +656,20 @@ impl PipeObserver for PrefixCheck {
 /// The functional engine's complete run over one (image, fold policy):
 /// the commit stream plus — when the run halted cleanly — the final
 /// architectural state. One reference serves every configuration of a
-/// batched lockstep sweep under that policy, where the scalar harness
+/// campaign lockstep sweep under that policy, where the scalar harness
 /// re-steps the functional engine once per configuration.
 #[derive(Debug)]
 pub struct DiffReference {
     log: Arc<CommitLog>,
     /// `Some` only when the reference halted within the step budget.
     machine: Option<Machine>,
-    /// The table the reference decoded from, which the sweep's lanes
-    /// share when the caller has none.
+    /// The table the reference decoded from, which the sweep's cycle
+    /// runs share when the caller has none.
     predecoded: Arc<PredecodedImage>,
 }
 
 impl DiffReference {
-    /// Whether the reference ran to a clean halt. Batched lanes can
+    /// Whether the reference ran to a clean halt. Campaign cases can
     /// only agree against a clean reference; an unclean one (error or
     /// step-budget expiry) sends every configuration down the scalar
     /// fallback, which reproduces the error-chase and watchdog
@@ -665,7 +692,8 @@ impl DiffReference {
 /// inside its watchdog can never need more reference steps than that.
 /// A reference that errors or exhausts the budget is still returned,
 /// just not [`DiffReference::clean`]. Without `predecoded` the call
-/// builds the table, and the reference keeps it for the sweep's lanes.
+/// builds the table, and the reference keeps it for the sweep's cycle
+/// runs.
 ///
 /// # Errors
 ///
@@ -710,23 +738,28 @@ pub fn diff_reference(
     })
 }
 
-/// Batched variant of [`run_lockstep_pooled`]: run `cfgs` (all sharing
-/// `reference`'s fold policy) as SoA cycle-engine lanes against one
-/// precomputed functional reference, `lanes` at a time, refilling each
-/// slot as its lane drains. Without `predecoded`, the lanes share the
-/// table the reference decoded from.
+/// Campaign variant of [`run_lockstep_pooled`]: run `cfgs` (all
+/// sharing `reference`'s fold policy) one after another against one
+/// precomputed functional reference, instead of re-stepping the
+/// functional engine per configuration. Without `predecoded`, the
+/// cases share the table the reference decoded from.
 ///
-/// A lane that matches the whole reference stream, halts, and
-/// reproduces the reference's final state reports
-/// [`LockstepOutcome::Agree`] with exactly the counts the scalar
-/// harness computes. Every other lane — a mismatched commit (the lane
-/// is ejected the wave the mismatch retires), an engine error, a
-/// watchdog expiry, a stream-length difference, a final-state
-/// difference, or an unclean reference — is re-run through the scalar
-/// [`run_lockstep_pooled`] harness, which reproduces the divergence
-/// report (timeline excerpt included) bit-identically to a
+/// Each case runs on its own pooled [`CycleSim`] with a
+/// [`PrefixCheck`] cursor over the reference stream, and stops early
+/// the cycle a mismatched commit retires. A case that matches the
+/// whole reference stream, halts, and reproduces the reference's final
+/// state reports [`LockstepOutcome::Agree`] with exactly the counts the
+/// scalar harness computes. Every other case — a mismatched commit, an
+/// engine error, a watchdog expiry, a stream-length difference, a
+/// final-state difference, or an unclean reference — is re-run through
+/// the scalar [`run_lockstep_pooled`] harness, which reproduces the
+/// divergence report (timeline excerpt included) bit-identically to a
 /// scalar-only sweep. Campaigns abort on the first divergence, so the
-/// double-run costs nothing on the steady-state path.
+/// double run costs nothing on the steady-state path.
+///
+/// `lanes` is accepted for API compatibility and has no effect on
+/// results or speed: cases share no work, so each runs to completion
+/// on its own.
 ///
 /// # Errors
 ///
@@ -741,72 +774,46 @@ pub fn run_lockstep_batched(
     cfgs: &[SimConfig],
     predecoded: Option<&Arc<PredecodedImage>>,
     reference: &DiffReference,
-    lanes: usize,
+    _lanes: usize,
     pool: &mut MachinePool,
     bufs: &mut LockstepBuffers,
 ) -> Result<Vec<LockstepOutcome>, SimError> {
-    let mut outcomes: Vec<Option<LockstepOutcome>> = (0..cfgs.len()).map(|_| None).collect();
-    let mut rerun: Vec<usize> = Vec::new();
     let table = predecoded.unwrap_or(&reference.predecoded);
-    match &reference.machine {
-        None => rerun.extend(0..cfgs.len()),
-        Some(ref_machine) => {
-            let mut batch: MachineBatch<PrefixCheck> =
-                MachineBatch::new(lanes.clamp(1, cfgs.len().max(1)));
-            let mut next = 0usize;
-            loop {
-                while next < cfgs.len() && batch.free_lane().is_some() {
-                    let cfg = cfgs[next];
-                    cfg.validate();
-                    let sim = CycleSim::with_predecoded(
-                        pool.take(image)?,
-                        cfg,
-                        PrefixCheck::new(Arc::clone(&reference.log)),
-                        Arc::clone(table),
-                    );
-                    batch.admit(next as u64, sim);
-                    next += 1;
-                }
-                if batch.live_lanes() == 0 {
-                    break;
-                }
-                batch.step_wave();
-                for lane in 0..batch.lanes() {
-                    if batch.is_live(lane) && batch.observer(lane).decided() {
-                        batch.eject(lane);
-                    }
-                }
-                for fin in batch.drain_finished() {
-                    let idx = fin.tag as usize;
-                    let fm = ref_machine;
-                    let cm = &fin.machine;
-                    let agree = matches!(fin.end, LaneEnd::Halted)
-                        && fin.obs.full_match()
-                        && fm.accum == cm.accum
-                        && fm.sp == cm.sp
-                        && fm.psw.flag == cm.psw.flag
-                        && fm.halted == cm.halted
-                        && fm.mem == cm.mem;
-                    if agree {
-                        outcomes[idx] = Some(LockstepOutcome::Agree {
-                            commits: fin.obs.matched() as u64,
-                            cycles: fin.stats.cycles,
-                        });
-                    } else {
-                        rerun.push(idx);
-                    }
-                    pool.put(fin.machine);
-                }
+    let mut outcomes = Vec::with_capacity(cfgs.len());
+    for &cfg in cfgs {
+        let agreed = match &reference.machine {
+            None => None,
+            Some(fm) => {
+                cfg.validate();
+                let mut sim = CycleSim::with_predecoded(
+                    pool.take(image)?,
+                    cfg,
+                    PrefixCheck::new(Arc::clone(&reference.log)),
+                    Arc::clone(table),
+                );
+                let end = sim.run_until(|s| s.observer().decided());
+                let cm = sim.machine();
+                let agreed = (matches!(end, LaneEnd::Halted)
+                    && sim.observer().full_match()
+                    && fm.accum == cm.accum
+                    && fm.sp == cm.sp
+                    && fm.psw.flag == cm.psw.flag
+                    && fm.halted == cm.halted
+                    && fm.mem == cm.mem)
+                    .then(|| LockstepOutcome::Agree {
+                        commits: sim.observer().matched() as u64,
+                        cycles: sim.stats.cycles,
+                    });
+                pool.put(sim.into_machine());
+                agreed
             }
-        }
+        };
+        outcomes.push(match agreed {
+            Some(out) => out,
+            None => run_lockstep_pooled(image, cfg, Some(table), bufs)?,
+        });
     }
-    for idx in rerun {
-        outcomes[idx] = Some(run_lockstep_pooled(image, cfgs[idx], Some(table), bufs)?);
-    }
-    Ok(outcomes
-        .into_iter()
-        .map(|o| o.expect("every config ran as a lane or a scalar fallback"))
-        .collect())
+    Ok(outcomes)
 }
 
 #[cfg(test)]
@@ -987,7 +994,7 @@ mod tests {
         let mut log = CommitLog::default();
         log.event(PipeEvent::FetchMiss { cycle: 1, pc: 0 });
         assert!(log.records.is_empty());
-        // Commit-only interest: lanes under it never build other events.
+        // Commit-only interest: runs under it never build other events.
         assert_eq!(CommitLog::INTEREST, Interest::Commits);
     }
 }

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
-pub mod batch;
 mod config;
 pub mod diff;
 mod error;
@@ -67,12 +66,11 @@ pub mod threaded;
 mod trace;
 
 pub use accounting::{BubbleCause, CycleAccounts};
-pub use batch::{FinishedLane, LaneEnd, MachineBatch, MachinePool};
 pub use config::{DegradePolicy, FaultInjection, HwPredictor, SimConfig};
 pub use diff::{
     diff_reference, run_lockstep, run_lockstep_batched, run_lockstep_pooled, sweep_configs,
     CommitLog, CommitRecord, DiffReference, Divergence, DivergenceKind, LockstepBuffers,
-    LockstepOutcome, PrefixCheck,
+    LockstepOutcome, MachinePool, PrefixCheck,
 };
 pub use error::{HaltReason, SimError};
 pub use functional::{FunctionalRun, FunctionalSim};
@@ -86,7 +84,7 @@ pub use observe::{
     NullObserver, PipeEvent, PipeObserver, StallKind, TraceFooter, TraceParseError,
 };
 pub use pdu::Pdu;
-pub use pipeline::{CycleRun, CycleSim, PipelineSnapshot, StageView};
+pub use pipeline::{CycleRun, CycleSim, LaneEnd, PipelineSnapshot, StageView};
 pub use predecode::{PredecodedImage, DECODE_WINDOW};
 pub use predictor::{BtbTable, CounterTable, HwPredictorState, JumpTraceTable, Predictor};
 pub use profile::{BranchProfiler, SiteStats};

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use crate::predecode::PredecodedImage;
 use crate::predictor::HwPredictorState;
-use crate::soft_error::FaultTarget;
+use crate::soft_error::{FaultTarget, ParityMode};
 use crate::stats::resolve_stage;
 use crate::{CacheLookup, CycleStats, DecodedCache, HaltReason, Machine, Pdu, SimConfig, SimError};
 
@@ -161,14 +161,13 @@ pub struct CycleSim<O: PipeObserver = NullObserver> {
     pub stats: CycleStats,
 }
 
-/// The cycle engine's per-lane front-end hot state: EU stage latches,
+/// The cycle engine's front-end hot state: EU stage latches,
 /// sequencing registers, and bubble provenance.
 ///
-/// Split out of [`CycleSim`] so the batched campaign kernel
-/// ([`crate::batch::MachineBatch`]) can hold N of these in
-/// structure-of-arrays form, stepping each lane against its own backing
-/// state through [`PipeFront::cycle_once`]. The scalar simulator is the
-/// one-lane specialization of the same code path.
+/// Kept apart from the rest of [`CycleSim`] so [`PipeFront::cycle_once`]
+/// can hold the latches mutably while it borrows the machine, cache,
+/// PDU, predictor, counters and observer through one [`LaneMut`] —
+/// disjoint borrows the optimizer sees through.
 #[derive(Debug, Clone)]
 pub(crate) struct PipeFront {
     /// EU stage latches, youngest first: `stages[0]` is the issue
@@ -209,10 +208,9 @@ pub(crate) struct PipeFront {
     parity_pc: Option<u32>,
 }
 
-/// Mutable borrows of one lane's backing state — everything a
-/// [`PipeFront`] needs besides itself to advance a cycle. The scalar
-/// engine builds one from its own fields; [`crate::batch::MachineBatch`]
-/// builds one per lane from its parallel arrays.
+/// Mutable borrows of a simulator's backing state — everything a
+/// [`PipeFront`] needs besides itself to advance a cycle. `CycleSim`
+/// builds one from its own fields every cycle.
 pub(crate) struct LaneMut<'a, O: PipeObserver> {
     pub machine: &'a mut Machine,
     pub cache: &'a mut DecodedCache,
@@ -223,13 +221,20 @@ pub(crate) struct LaneMut<'a, O: PipeObserver> {
     pub obs: &'a mut O,
 }
 
-/// Whether a watchdog limit ([`SimConfig::max_cycles`] /
-/// [`SimConfig::max_insns`]) has expired for the given counters.
-pub(crate) fn watchdog_expired(cfg: &SimConfig, stats: &CycleStats) -> bool {
-    stats.cycles >= cfg.max_cycles
-        || cfg
-            .max_insns
-            .is_some_and(|limit| stats.program_instrs >= limit)
+/// Why a [`CycleSim::run_until`] loop ended.
+#[derive(Debug)]
+pub enum LaneEnd {
+    /// The program retired `halt`.
+    Halted,
+    /// A watchdog limit ([`SimConfig::max_cycles`] /
+    /// [`SimConfig::max_insns`]) expired first.
+    Watchdog,
+    /// The architecturally-correct path faulted (same conditions as
+    /// [`CycleSim::run`]).
+    Error(SimError),
+    /// The caller's stop predicate ended the run early (e.g. its
+    /// divergence observer had already decided the case).
+    Ejected,
 }
 
 impl CycleSim {
@@ -340,33 +345,77 @@ impl<O: PipeObserver> CycleSim<O> {
     ///
     /// Same conditions as [`CycleSim::run`].
     pub fn run_observed(mut self) -> Result<(CycleRun, O), SimError> {
+        let halted = match self.run_until(|_| false) {
+            LaneEnd::Halted => true,
+            LaneEnd::Watchdog => false,
+            LaneEnd::Error(e) => return Err(e),
+            LaneEnd::Ejected => unreachable!("a stop predicate that never fires never ejects"),
+        };
+        Ok(self.finish(halted))
+    }
+
+    /// Step until the program halts, a watchdog limit expires, the
+    /// architecturally-correct path faults, or `stop` asks to end the
+    /// run early — the engine's one stepping loop.
+    ///
+    /// Each cycle checks the watchdog, advances the machine, and then
+    /// — unless that cycle halted or faulted — asks `stop`, which sees
+    /// the simulator as the cycle left it. Campaign kernels pass a
+    /// predicate over the observer or counters (a commit stream that
+    /// has already diverged, a caught parity fault) to skip a tail
+    /// whose verdict is fixed; `|_| false` runs to completion.
+    ///
+    /// The simulator keeps its machine, counters and observer however
+    /// the run ends, a [`LaneEnd::Error`] included. Calling again after
+    /// a halt returns [`LaneEnd::Halted`] without stepping.
+    pub fn run_until(&mut self, mut stop: impl FnMut(&CycleSim<O>) -> bool) -> LaneEnd {
+        if self.machine.halted {
+            return LaneEnd::Halted;
+        }
         loop {
             if self.watchdog_expired() {
                 self.stats.watchdog = true;
-                let run = CycleRun {
-                    machine: self.machine,
-                    stats: self.stats,
-                    halted: false,
-                    halt_reason: HaltReason::Watchdog,
-                };
-                return Ok((run, self.obs));
+                return LaneEnd::Watchdog;
             }
-            if self.cycle_once()? {
-                let run = CycleRun {
-                    machine: self.machine,
-                    stats: self.stats,
-                    halted: true,
-                    halt_reason: HaltReason::Halted,
-                };
-                return Ok((run, self.obs));
+            match self.cycle_once() {
+                Ok(false) => {}
+                Ok(true) => return LaneEnd::Halted,
+                Err(e) => return LaneEnd::Error(e),
+            }
+            if stop(self) {
+                return LaneEnd::Ejected;
             }
         }
+    }
+
+    /// Whether a parity-protected run's planned soft-error fault has
+    /// both struck and been caught by a parity check (a decoded-cache
+    /// invalidate or a predictor scrub).
+    ///
+    /// Under [`ParityMode::DetectInvalidate`] every cache read is
+    /// parity-checked, so a caught single-bit fault was invalidated
+    /// before any corrupted entry could execute: the rest of the run is
+    /// bit-identical to the fault-free reference, and a fault campaign
+    /// can settle the case as masked without running its tail.
+    pub fn parity_settled(&self) -> bool {
+        self.cfg.parity == ParityMode::DetectInvalidate
+            && self.stats.faults_injected > 0
+            && (self.cache.parity_invalidates
+                + self
+                    .predictor
+                    .as_ref()
+                    .map_or(0, HwPredictorState::parity_scrubs))
+                > 0
     }
 
     /// Whether a watchdog limit ([`SimConfig::max_cycles`] /
     /// [`SimConfig::max_insns`]) has expired.
     fn watchdog_expired(&self) -> bool {
-        watchdog_expired(&self.cfg, &self.stats)
+        self.stats.cycles >= self.cfg.max_cycles
+            || self
+                .cfg
+                .max_insns
+                .is_some_and(|limit| self.stats.program_instrs >= limit)
     }
 
     /// Advance the machine by one clock cycle and return a snapshot of
@@ -411,7 +460,12 @@ impl<O: PipeObserver> CycleSim<O> {
     /// abandoned before `halt` reports [`HaltReason::Watchdog`].
     pub fn into_run(self) -> CycleRun {
         let halted = self.machine.halted;
-        CycleRun {
+        self.finish(halted).0
+    }
+
+    /// Package the run result and hand back the observer.
+    fn finish(self, halted: bool) -> (CycleRun, O) {
+        let run = CycleRun {
             machine: self.machine,
             stats: self.stats,
             halted,
@@ -420,7 +474,8 @@ impl<O: PipeObserver> CycleSim<O> {
             } else {
                 HaltReason::Watchdog
             },
-        }
+        };
+        (run, self.obs)
     }
 
     /// Run until `halt`, or until a watchdog limit expires (a graceful
@@ -621,7 +676,7 @@ impl PipeFront {
         }
     }
 
-    /// Advance one lane by one clock cycle. Returns `true` on halt.
+    /// Advance the machine by one clock cycle. Returns `true` on halt.
     ///
     /// The paper's 3-stage geometry gets a monomorphized copy of the
     /// cycle body whose stage loops unroll at compile time — the

@@ -51,12 +51,11 @@ use crisp_isa::{BinOp, Cond, Decoded, ExecOp, FoldClass, NextPc, Operand};
 
 use std::sync::Arc;
 
-use crate::batch::{FinishedLane, LaneEnd, MachineBatch, MachinePool};
 use crate::config::HwPredictor;
-use crate::diff::{CommitLog, CommitRecord, PrefixCheck};
+use crate::diff::{CommitLog, CommitRecord, MachinePool, PrefixCheck};
 use crate::error::HaltReason;
 use crate::{
-    CycleSim, FunctionalSim, Machine, PredecodedImage, SimConfig, SimError, ThreadedSim,
+    CycleSim, FunctionalSim, LaneEnd, Machine, PredecodedImage, SimConfig, SimError, ThreadedSim,
     TranslatedImage,
 };
 use crisp_asm::Image;
@@ -708,7 +707,7 @@ pub fn classify_fault_translated_pooled(
 pub struct FaultReference {
     log: Arc<CommitLog>,
     machine: Machine,
-    /// The table the reference decoded from, which the faulted lanes
+    /// The table the reference decoded from, which the faulted runs
     /// share when the caller has none.
     predecoded: Arc<PredecodedImage>,
 }
@@ -724,12 +723,48 @@ impl FaultReference {
     pub fn into_machine(self) -> Machine {
         self.machine
     }
+
+    /// Classify a faulted run that ended with `end` against this
+    /// reference, in the scalar verdict order: divergent prefix, then
+    /// simulator error, watchdog hang, stream-length mismatch,
+    /// final-state SDC, masked. A run stopped early
+    /// ([`LaneEnd::Ejected`]) with a clean prefix was parity-settled
+    /// (see [`classify_batch`]) and is masked.
+    pub fn verdict(&self, sim: &CycleSim<PrefixCheck>, end: &LaneEnd) -> FaultOutcome {
+        let check = sim.observer();
+        if let Some((r, f)) = check.mismatch() {
+            return classify_pair(r, f);
+        }
+        match end {
+            // A parity-settled run's planned fault was caught and
+            // invalidated before any corrupted entry could execute, so
+            // the rest of the run is bit-identical to the reference.
+            LaneEnd::Ejected => FaultOutcome::Masked,
+            LaneEnd::Error(SimError::Decode { .. }) => FaultOutcome::ControlDivergence,
+            LaneEnd::Error(_) => FaultOutcome::Sdc,
+            LaneEnd::Watchdog => FaultOutcome::Hang,
+            LaneEnd::Halted => {
+                if check.extra() > 0 || check.matched() != self.log.records.len() {
+                    return FaultOutcome::ControlDivergence;
+                }
+                let (fm, cm) = (&self.machine, sim.machine());
+                if fm.accum != cm.accum
+                    || fm.sp != cm.sp
+                    || fm.psw.flag != cm.psw.flag
+                    || fm.mem != cm.mem
+                {
+                    return FaultOutcome::Sdc;
+                }
+                FaultOutcome::Masked
+            }
+        }
+    }
 }
 
 /// Run the fault-free reference for [`classify_batch`]: the threaded
 /// tier when `translated` is given, the interpreter otherwise. The
 /// reference keeps the table it decoded from (`predecoded`, else the
-/// translation's, else one built here) for the faulted lanes.
+/// translation's, else one built here) for the faulted runs.
 ///
 /// # Errors
 ///
@@ -791,37 +826,38 @@ pub fn fault_reference(
     })
 }
 
-/// Classify a batch of faulted runs against one precomputed reference,
-/// `lanes` SoA cycle-engine lanes at a time, returning one
+/// Classify a block of faulted runs against one precomputed reference,
+/// one pooled cycle-engine run per config, returning one
 /// [`FaultOutcome`] per config in order.
 ///
 /// Each case runs with a [`PrefixCheck`] cursor over the reference
-/// stream instead of buffering its own commit log. A lane whose prefix
-/// has diverged is ejected at the end of the wave the mismatch retired
-/// in: the verdict ([`classify_pair`] on the divergent records) is
-/// already fixed, and running on — potentially hundreds of thousands
-/// of cycles to a watchdog hang — is pure waste. Completed lanes keep
-/// the scalar verdict order: divergent prefix, then watchdog hang,
-/// then stream-length mismatch, then final-state SDC, then masked.
-/// A lane that dies on a [`SimError`] with its prefix still clean
-/// classifies by the error kind (decode errors are control divergence,
-/// anything else data corruption), exactly as the scalar kernel does.
+/// stream instead of buffering its own commit log. A case whose prefix
+/// has diverged stops the cycle the mismatch retires: the verdict
+/// ([`classify_pair`] on the divergent records) is already fixed, and
+/// running on — potentially hundreds of thousands of cycles to a
+/// watchdog hang — is pure waste. Completed cases keep the scalar
+/// verdict order: divergent prefix, then watchdog hang, then
+/// stream-length mismatch, then final-state SDC, then masked. A case
+/// that dies on a [`SimError`] with its prefix still clean classifies
+/// by the error kind (decode errors are control divergence, anything
+/// else data corruption), exactly as the scalar kernel does.
 ///
-/// Parity-protected lanes settle early too: under
+/// Parity-protected cases settle early too: under
 /// [`ParityMode::DetectInvalidate`] every cache read is parity-checked,
 /// so once the planned fault has struck *and* been caught (invalidated
-/// or scrubbed — [`MachineBatch::parity_settled`]) no corrupted entry
-/// can ever execute and the tail of the run is bit-identical to the
-/// reference; the lane is ejected as [`FaultOutcome::Masked`] without
+/// or scrubbed — [`CycleSim::parity_settled`]) no corrupted entry can
+/// ever execute and the tail of the run is bit-identical to the
+/// reference; the case stops as [`FaultOutcome::Masked`] without
 /// simulating that tail. The one observable difference from running
 /// the tail out: a protected run whose caught-fault refetch would have
-/// pushed it past the watchdog budget now classifies as the masked
-/// fault it provably is rather than a spurious `Hang`.
+/// pushed it past the watchdog budget classifies as the masked fault it
+/// provably is rather than a spurious `Hang`.
 ///
-/// [`classify_fault_translated_pooled`] is the one-lane specialization
-/// of this kernel, so batch and scalar campaigns tally identically.
-/// Without `predecoded`, the lanes share the table the reference
-/// decoded from.
+/// [`classify_fault_translated_pooled`] is the one-config call of this
+/// kernel, so block and per-case campaigns tally identically. Without
+/// `predecoded`, the cases share the table the reference decoded from.
+/// `lanes` is accepted for API compatibility and has no effect on
+/// results or speed.
 ///
 /// # Errors
 ///
@@ -836,76 +872,24 @@ pub fn classify_batch(
     cfgs: &[SimConfig],
     predecoded: Option<&Arc<PredecodedImage>>,
     reference: &FaultReference,
-    lanes: usize,
+    _lanes: usize,
     pool: &mut MachinePool,
 ) -> Result<Vec<FaultOutcome>, SimError> {
-    let mut outcomes: Vec<Option<FaultOutcome>> = (0..cfgs.len()).map(|_| None).collect();
-    let mut batch: MachineBatch<PrefixCheck> = MachineBatch::new(lanes.clamp(1, cfgs.len().max(1)));
     let table = predecoded.unwrap_or(&reference.predecoded);
-    let mut next = 0usize;
-    loop {
-        while next < cfgs.len() && batch.free_lane().is_some() {
-            let cfg = cfgs[next];
-            cfg.validate();
-            let sim = CycleSim::with_predecoded(
-                pool.take(image)?,
-                cfg,
-                PrefixCheck::new(Arc::clone(&reference.log)),
-                Arc::clone(table),
-            );
-            batch.admit(next as u64, sim);
-            next += 1;
-        }
-        if batch.live_lanes() == 0 {
-            break;
-        }
-        batch.step_wave();
-        for lane in 0..batch.lanes() {
-            if batch.is_live(lane) && (batch.observer(lane).decided() || batch.parity_settled(lane))
-            {
-                batch.eject(lane);
-            }
-        }
-        for fin in batch.drain_finished() {
-            outcomes[fin.tag as usize] = Some(lane_outcome(reference, &fin));
-            pool.put(fin.machine);
-        }
+    let mut outcomes = Vec::with_capacity(cfgs.len());
+    for &cfg in cfgs {
+        cfg.validate();
+        let mut sim = CycleSim::with_predecoded(
+            pool.take(image)?,
+            cfg,
+            PrefixCheck::new(Arc::clone(&reference.log)),
+            Arc::clone(table),
+        );
+        let end = sim.run_until(|s| s.observer().decided() || s.parity_settled());
+        outcomes.push(reference.verdict(&sim, &end));
+        pool.put(sim.into_machine());
     }
-    Ok(outcomes
-        .into_iter()
-        .map(|o| o.expect("every config ran as a lane"))
-        .collect())
-}
-
-/// The scalar verdict order applied to one drained lane.
-fn lane_outcome(reference: &FaultReference, lane: &FinishedLane<PrefixCheck>) -> FaultOutcome {
-    if let Some((r, f)) = lane.obs.mismatch() {
-        return classify_pair(r, f);
-    }
-    match &lane.end {
-        // A lane ejected with a clean prefix was parity-settled: its
-        // planned fault was caught and invalidated before any corrupted
-        // entry could execute, so the rest of the run is bit-identical
-        // to the reference and the fault is masked by construction.
-        LaneEnd::Ejected => FaultOutcome::Masked,
-        LaneEnd::Error(SimError::Decode { .. }) => FaultOutcome::ControlDivergence,
-        LaneEnd::Error(_) => FaultOutcome::Sdc,
-        LaneEnd::Watchdog => FaultOutcome::Hang,
-        LaneEnd::Halted => {
-            if lane.obs.extra() > 0 || lane.obs.matched() != reference.log.records.len() {
-                return FaultOutcome::ControlDivergence;
-            }
-            let (fm, cm) = (&reference.machine, &lane.machine);
-            if fm.accum != cm.accum
-                || fm.sp != cm.sp
-                || fm.psw.flag != cm.psw.flag
-                || fm.mem != cm.mem
-            {
-                return FaultOutcome::Sdc;
-            }
-            FaultOutcome::Masked
-        }
-    }
+    Ok(outcomes)
 }
 
 #[cfg(test)]
